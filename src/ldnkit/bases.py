@@ -47,8 +47,7 @@ class PolyBasis:
 
     def values(self, t) -> np.ndarray:
         """Evaluate every basis function; rows index functions."""
-        t = np.asarray(t, dtype=float)
-        return np.stack([np.atleast_1d(poly.eval_poly(p, t)) for p in self.polys])
+        return poly.eval_rows(self.coefficient_matrix(), np.atleast_1d(t))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ All output is deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -157,25 +158,29 @@ def _cmd_decode(args) -> int:
         raise FormatError("--theta-prime-grid must be at least 2")
     theta_primes = [doc.theta * i / (grid_n - 1) for i in range(grid_n)]
     decoders = _decoders(doc, args.method, theta_primes, args.n_samples)
-    header = ["t"] + [f"u@{formats.shortest_float(tp)}" for tp in theta_primes]
-    rows = (
-        [t0 + k * traj.dt] + list(sim.decode_window(traj.states[k], decoders))
-        for k in range(traj.states.shape[0])
-    )
-    formats.write_csv(args.out, header, rows)
+    decoded = sim.StateTrajectory(sim.decode_window(traj.states, decoders), traj.dt)
+    columns = [f"u@{formats.shortest_float(tp)}" for tp in theta_primes]
+    formats.write_trajectory_csv(args.out, decoded, t0=t0, columns=columns)
     return EXIT_OK
 
 
 def _load_system_or_basis(path) -> formats.SystemDocument:
-    """Accept either a system document or a bare basis file."""
+    """Accept either a system document or a bare basis file.
+
+    Only a JSON mapping without "format_version" is read as a basis file;
+    anything else is parsed, and its errors reported, as a system document.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
+        raw = json.loads(text)
+    except json.JSONDecodeError:
+        raw = None
+    if not isinstance(raw, dict) or "format_version" in raw:
         return formats.parse_system_document(text)
-    except FormatError:
-        basis = formats.parse_basis_file(text)
-        system = mk_poly_basis_lti(basis)
-        return formats.document_from_system(system, "custom", _basis_metadata(basis))
+    basis = formats.parse_basis_file(text)
+    system = mk_poly_basis_lti(basis)
+    return formats.document_from_system(system, "custom", _basis_metadata(basis))
 
 
 def _cmd_reencode(args) -> int:
@@ -192,10 +197,9 @@ def _cmd_reencode(args) -> int:
         # basis values at the window end are exactly all ones, so the exact
         # closed form is used instead of the matrix exponential
         e = legendre_values(doc.q, 1.0)
-        decoder = reencode.legendre_decoder(doc.q, doc.theta, doc.theta)
     else:
         e = reencode.encoder(system)
-        decoder = _decoders(doc, method, [doc.theta], args.n_samples)[0]
+    decoder = _decoders(doc, method, [doc.theta], args.n_samples)[0]
     gamma = reencode.delay_reencoder(e, decoder)
     dampened = reencode.dampen(system, gamma)
 
@@ -327,7 +331,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (FormatError, FileNotFoundError, IsADirectoryError, ValueError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IllConditionedError as exc:

@@ -236,9 +236,12 @@ def read_signal_csv(path):
     return float(t[0]), Signal(samples=u, dt=dt)
 
 
-def write_trajectory_csv(path, traj: StateTrajectory, t0: float = 0.0) -> None:
-    q = traj.states.shape[1]
-    header = ["t"] + [f"m_{n}" for n in range(q)]
+def write_trajectory_csv(path, traj: StateTrajectory, t0: float = 0.0,
+                         columns=None) -> None:
+    """Time column plus the states, in columns m_0, m_1, ... unless named."""
+    if columns is None:
+        columns = [f"m_{n}" for n in range(traj.states.shape[1])]
+    header = ["t"] + list(columns)
     rows = (
         [t0 + k * traj.dt] + list(traj.states[k])
         for k in range(traj.states.shape[0])

@@ -29,16 +29,28 @@ def as_poly(p, name: str = "polynomial") -> np.ndarray:
     return out
 
 
+def eval_rows(coeffs, t) -> np.ndarray:
+    """Evaluate every row of a coefficient matrix by Horner's rule.
+
+    ``coeffs`` holds one polynomial per row (ascending powers, zero padded
+    to a common length); ``t`` may be a scalar or an array. The result has
+    shape ``(rows,) + t.shape``.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    t = np.asarray(t, dtype=float)
+    cols = coeffs.T.reshape(coeffs.shape[::-1] + (1,) * t.ndim)
+    out = np.broadcast_to(cols[-1], (coeffs.shape[0],) + t.shape).copy()
+    for c in cols[-2::-1]:
+        out = out * t + c
+    return out
+
+
 def eval_poly(p, t):
     """Evaluate sum_k coeffs[k] t^k by Horner's rule.
 
     ``t`` may be a scalar or an array; the result has the shape of ``t``.
     """
-    p = as_poly(p)
-    t = np.asarray(t, dtype=float)
-    out = np.full(t.shape, p[-1])
-    for c in p[-2::-1]:
-        out = out * t + c
+    out = eval_rows(as_poly(p)[None, :], t)[0]
     return out if out.shape else float(out)
 
 
@@ -101,10 +113,7 @@ def inner_product(p, r, theta: float) -> float:
     p = as_poly(p, "p")
     r = as_poly(r, "r")
     q = max(p.size, r.size)
-    pp = np.zeros(q)
-    pp[: p.size] = p
-    rr = np.zeros(q)
-    rr[: r.size] = r
+    pp, rr = pad_coefficients([p, r], q)
     cross = np.outer(pp, rr)
     return float(np.sum(hilbert(q, theta).entries * (cross + cross.T)) / 2.0)
 

@@ -89,29 +89,6 @@ def legendre_decoder(q: int, theta: float, theta_prime: float) -> DelayDecoder:
     )
 
 
-def _coefficient_system(basis: PolyBasis):
-    """Shared pieces of the coefficient-space methods.
-
-    Returns (lam, reflected, gram) where lam stacks the basis coefficients,
-    reflected stacks the coefficients of p_j(theta - t), and gram is the
-    monomial Gram matrix of the window.
-    """
-    width = basis.width
-    lam = basis.coefficient_matrix()
-    reflected = np.vstack(
-        [poly.compose_affine(_padded(p, width), -1.0, basis.theta) for p in basis.polys]
-    )
-    gram = poly.hilbert(width, basis.theta).entries
-    return lam, reflected, gram
-
-
-def _padded(p, q: int) -> np.ndarray:
-    out = np.zeros(q)
-    arr = poly.as_poly(p)
-    out[: arr.size] = arr
-    return out
-
-
 def _refuse_if_ill_conditioned(matrix: np.ndarray, what: str) -> float:
     cond = linalg.condition_estimate(matrix)
     if cond > ILL_CONDITIONED_LIMIT:
@@ -129,10 +106,11 @@ def decoder_hilbert_direct(basis: PolyBasis, theta_prime: float) -> DelayDecoder
     threshold; otherwise the estimate is attached to the result.
     """
     _check_delay(basis.theta, theta_prime)
-    lam, reflected, gram = _coefficient_system(basis)
-    system = reflected @ gram @ lam.T
+    lam = basis.coefficient_matrix()
+    reflected = np.vstack([poly.compose_affine(p, -1.0, basis.theta) for p in lam])
+    system = reflected @ poly.hilbert(basis.width, basis.theta).entries @ lam.T
     cond = _refuse_if_ill_conditioned(system, "decoder system")
-    y = np.array([poly.eval_poly(p, basis.theta - theta_prime) for p in basis.polys])
+    y = poly.eval_rows(lam, basis.theta - theta_prime)
     d = linalg.lu_solve(system, y)
     return DelayDecoder(
         d=d, theta_prime=float(theta_prime), theta=basis.theta,
@@ -140,31 +118,35 @@ def decoder_hilbert_direct(basis: PolyBasis, theta_prime: float) -> DelayDecoder
     )
 
 
-def basis_inverse(basis: PolyBasis) -> tuple[np.ndarray, ...]:
-    """Dual polynomials: coefficient arrays with <p_i, dual_j> = delta_ij.
+def _dual_coefficients(basis: PolyBasis) -> tuple[np.ndarray, float]:
+    """Dual-basis coefficient rows and the condition estimate of their solve.
 
-    Solving Lam Q P^T = I gives the duals in one factorization; evaluating
-    the dual family at a point theta' yields the delay decoder d(theta')
-    for that delay (see evaluated_decoder).
+    Solving Lam Q P^T = I gives every dual in one factorization; row j of
+    the returned matrix holds the coefficients of dual j.
     """
     q = basis.q
     if basis.width != q:
         raise ValueError("basis inversion needs degrees bounded by q - 1")
-    lam = basis.coefficient_matrix()
-    gram = poly.hilbert(q, basis.theta).entries
-    system = lam @ gram
-    _refuse_if_ill_conditioned(system, "basis inversion")
-    p_t = linalg.lu_solve(system, np.eye(q))
-    return tuple(p_t.T[j].copy() for j in range(q))
+    system = basis.coefficient_matrix() @ poly.hilbert(q, basis.theta).entries
+    cond = _refuse_if_ill_conditioned(system, "basis inversion")
+    return linalg.lu_solve(system, np.eye(q)).T, cond
+
+
+def basis_inverse(basis: PolyBasis) -> tuple[np.ndarray, ...]:
+    """Dual polynomials: coefficient arrays with <p_i, dual_j> = delta_ij.
+
+    Evaluating the dual family at a point theta' yields the delay decoder
+    d(theta') for that delay (see evaluated_decoder).
+    """
+    duals, _ = _dual_coefficients(basis)
+    return tuple(row.copy() for row in duals)
 
 
 def evaluated_decoder(basis: PolyBasis, theta_prime: float) -> DelayDecoder:
     """Delay decoder obtained by evaluating the dual basis at theta_prime."""
     _check_delay(basis.theta, theta_prime)
-    duals = basis_inverse(basis)
-    lam = basis.coefficient_matrix()
-    cond = linalg.condition_estimate(lam @ poly.hilbert(basis.width, basis.theta).entries)
-    d = np.array([poly.eval_poly(p, theta_prime) for p in duals])
+    duals, cond = _dual_coefficients(basis)
+    d = poly.eval_rows(duals, theta_prime)
     return DelayDecoder(
         d=d, theta_prime=float(theta_prime), theta=basis.theta,
         method=METHOD_BASIS_INVERSE, condition=cond,
@@ -188,10 +170,11 @@ def decoder_discrete(basis: PolyBasis, n_samples: int, theta_prime: float) -> De
 
 
 def discrete_decoders(basis: PolyBasis, n_samples: int, theta_primes) -> list[DelayDecoder]:
-    """Batch form of decoder_discrete sharing one Gram accumulation pass."""
+    """Batch form of decoder_discrete: one Gram pass, one multi-column solve."""
     q = basis.q
     if n_samples < 2 * q:
         raise ValueError(f"n_samples must be at least 2q = {2 * q}")
+    theta_primes = np.asarray(theta_primes, dtype=float)
     for tp in theta_primes:
         _check_delay(basis.theta, tp)
     lam = basis.coefficient_matrix()
@@ -199,30 +182,20 @@ def discrete_decoders(basis: PolyBasis, n_samples: int, theta_primes) -> list[De
     gram = np.zeros((q, q))
     for start in range(0, n_samples, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, n_samples), dtype=float)
-        vals = _chunk_values(lam, idx * step)
+        vals = poly.eval_rows(lam, idx * step)
         gram += vals @ vals.T
-    out = []
-    for tp in theta_primes:
-        row = int(np.floor((n_samples - 1) * tp / basis.theta)) + 1
-        t_row = float(row - 1) * step
-        col = _chunk_values(lam, np.array([t_row]))[:, 0]
-        try:
-            solved = linalg.lu_solve(gram, col)
-        except SingularMatrixError as exc:
-            raise RankDeficientError(f"sampled basis is rank deficient: {exc}") from exc
-        out.append(DelayDecoder(
-            d=(n_samples / basis.theta) * solved,
+    cols = poly.eval_rows(lam, np.floor((n_samples - 1) * theta_primes / basis.theta) * step)
+    try:
+        solved = linalg.lu_solve(gram, cols)
+    except SingularMatrixError as exc:
+        raise RankDeficientError(f"sampled basis is rank deficient: {exc}") from exc
+    return [
+        DelayDecoder(
+            d=(n_samples / basis.theta) * solved[:, i],
             theta_prime=float(tp), theta=basis.theta, method=METHOD_DISCRETE,
-        ))
-    return out
-
-
-def _chunk_values(lam: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Horner evaluation of all rows of lam at the sample times."""
-    out = np.full((lam.shape[0], ts.size), lam[:, -1][:, None])
-    for k in range(lam.shape[1] - 2, -1, -1):
-        out = out * ts[None, :] + lam[:, k][:, None]
-    return out
+        )
+        for i, tp in enumerate(theta_primes)
+    ]
 
 
 def delay_reencoder(e: np.ndarray, d: DelayDecoder) -> ReencoderMatrix:

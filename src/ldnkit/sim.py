@@ -7,7 +7,7 @@ discretization; forward Euler is kept as a documented fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,15 +62,6 @@ class DiscreteSystem:
     theta: float
 
 
-def _zoh_input_matrix(a_over_theta: np.ndarray, vec: np.ndarray, dt: float) -> np.ndarray:
-    """Integral of exp(a s) vec over one step, via the augmented exponential."""
-    q = vec.size
-    aug = np.zeros((q + 1, q + 1))
-    aug[:q, :q] = a_over_theta
-    aug[:q, q] = vec
-    return linalg.expm(aug * dt)[:q, q]
-
-
 def discretize(sys: LtiSystem, dt: float, method: str = "zoh") -> DiscreteSystem:
     """Discretize at sample period dt.
 
@@ -96,6 +87,23 @@ def discretize(sys: LtiSystem, dt: float, method: str = "zoh") -> DiscreteSystem
     return DiscreteSystem(ad=ad, bd=bd, dt=float(dt), theta=sys.theta)
 
 
+def _recur(ad, m0, n_steps, bd=None, u=None, ed=None, delay=0) -> np.ndarray:
+    """States m[0] = m0, m[k+1] = ad m[k] + bd u[k] - ed u[k - delay].
+
+    The input terms drop out without u, the erasure term without ed and
+    while k < delay. Erasure is a separate subtraction: pre-summing the two
+    drive terms changes the perfect window's states.
+    """
+    states = np.empty((n_steps + 1, m0.size))
+    states[0] = m = m0
+    for k in range(n_steps):
+        m = ad @ m if u is None else ad @ m + bd * u[k]
+        if ed is not None and k >= delay:
+            m = m - ed * u[k - delay]
+        states[k + 1] = m
+    return states
+
+
 def impulse_response(sys: LtiSystem, dt: float, t_max: float) -> StateTrajectory:
     """Sample the impulse response m(k dt) = exp((k dt / theta) A) B.
 
@@ -108,11 +116,7 @@ def impulse_response(sys: LtiSystem, dt: float, t_max: float) -> StateTrajectory
         raise ValueError("t_max must be at least dt")
     n_steps = int(round(t_max / dt))
     ad = linalg.expm((dt / sys.theta) * sys.a)
-    states = np.empty((n_steps + 1, sys.q))
-    m = sys.b.astype(float, copy=True)
-    for k in range(n_steps + 1):
-        states[k] = m
-        m = ad @ m
+    states = _recur(ad, sys.b.astype(float, copy=True), n_steps)
     return StateTrajectory(states=states, dt=float(dt))
 
 
@@ -125,14 +129,7 @@ def sliding_transform(dsys: DiscreteSystem, u: Signal) -> StateTrajectory:
     """
     if abs(u.dt - dsys.dt) > 1e-12 * dsys.dt:
         raise ValueError(f"signal dt {u.dt} does not match system dt {dsys.dt}")
-    n = u.samples.size
-    q = dsys.bd.size
-    states = np.empty((n + 1, q))
-    m = np.zeros(q)
-    states[0] = m
-    for k in range(n):
-        m = dsys.ad @ m + dsys.bd * u.samples[k]
-        states[k + 1] = m
+    states = _recur(dsys.ad, np.zeros(dsys.bd.size), u.samples.size, dsys.bd, u.samples)
     return StateTrajectory(states=states, dt=dsys.dt)
 
 
@@ -142,9 +139,9 @@ def perfect_window_transform(sys: LtiSystem, u: Signal) -> StateTrajectory:
     Simulates dm/dt = (A/theta) m + (B/theta) u(t) - (e(theta)/theta)
     u(t - theta): the delayed input is subtracted re-encoded through the
     window-end impulse response, so the impulse response is cut off at the
-    window edge instead of evolving past it. e(theta) comes from the same
-    matrix exponential as the propagator, keeping the cancellation at the
-    window edge exact to roundoff.
+    window edge instead of evolving past it. e(theta) is discretized with
+    the same augmented matrix exponential as the propagator, keeping the
+    cancellation at the window edge exact to roundoff.
 
     The sample period must divide theta (the delay line holds a whole
     number of steps); otherwise IncompatibleStepError is raised.
@@ -155,26 +152,25 @@ def perfect_window_transform(sys: LtiSystem, u: Signal) -> StateTrajectory:
             f"dt {u.dt} does not divide the window length {sys.theta}"
         )
     dsys = discretize(sys, u.dt, "zoh")
-    ed = _zoh_input_matrix(sys.a / sys.theta, encoder(sys) / sys.theta, u.dt)
-    n = u.samples.size
-    q = sys.q
-    states = np.empty((n + 1, q))
-    m = np.zeros(q)
-    states[0] = m
-    for k in range(n):
-        m = dsys.ad @ m + dsys.bd * u.samples[k]
-        if k >= delay_steps:
-            m = m - ed * u.samples[k - delay_steps]
-        states[k + 1] = m
+    ed = discretize(replace(sys, b=encoder(sys)), u.dt, "zoh").bd
+    states = _recur(dsys.ad, np.zeros(sys.q), u.samples.size, dsys.bd, u.samples,
+                    ed, delay_steps)
     return StateTrajectory(states=states, dt=u.dt)
 
 
 def decode_window(m: np.ndarray, decoders) -> np.ndarray:
-    """Reconstructed window samples <d(theta'_i), m> for each decoder."""
-    m = linalg.as_vector(m, "m")
-    out = np.empty(len(decoders))
-    for i, dec in enumerate(decoders):
-        if dec.d.size != m.size:
-            raise ValueError(f"decoder {i} has length {dec.d.size}, state has {m.size}")
-        out[i] = dec.d @ m
-    return out
+    """Reconstructed window samples <d(theta'_i), m> for each decoder.
+
+    ``m`` is one state, giving one value per decoder, or an (n, q) stack of
+    states such as a whole trajectory, giving an (n, len(decoders)) matrix:
+    ``m @ D.T`` with the decoders as the rows of D. Each entry is a single
+    inner product, so a stack decodes bit for bit like its rows.
+    """
+    m = np.asarray(m, dtype=float)
+    m = linalg.as_vector(m, "m") if m.ndim == 1 else linalg.as_matrix(m, "m")
+    q = m.shape[-1]
+    rows = [dec.d for dec in decoders]
+    for i, d in enumerate(rows):
+        if d.size != q:
+            raise ValueError(f"decoder {i} has length {d.size}, state has {q}")
+    return np.vecdot(m[..., None, :], np.reshape(rows, (-1, q)))

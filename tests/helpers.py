@@ -64,3 +64,25 @@ def legendre_value_recurrence(q, x):
     for n in range(1, q - 1):
         vals[n + 1] = ((2 * n + 1) * (2 * x - 1) * vals[n] - n * vals[n - 1]) / (n + 1)
     return vals
+
+
+def legendre_window_taps(q, theta, dt):
+    """Zero-order-hold taps of the undampened Legendre generator.
+
+    Row i is (1 / theta) times the integral of the shifted Legendre values
+    over [i dt, (i + 1) dt], for the theta / dt steps of one window, by
+    Gauss-Legendre quadrature with q nodes per step (exact for degree q - 1).
+    """
+    steps = int(round(theta / dt))
+    nodes, weights = np.polynomial.legendre.leggauss(q)
+    s = (np.arange(steps)[:, None] + 0.5 * (nodes[None, :] + 1.0)) * dt
+    vals = legendre_value_recurrence(q, s / theta)
+    return (0.5 * dt / theta) * (vals @ weights).T
+
+
+def perfect_window_direct_sum(taps, u):
+    """States m[n] = sum_{i < D} taps[i] u[n - 1 - i], with m[0] = 0."""
+    out = np.zeros((u.size + 1, taps.shape[1]))
+    for j in range(taps.shape[1]):
+        out[1:, j] = np.convolve(u, taps[:, j])[: u.size]
+    return out

@@ -138,6 +138,14 @@ class TestImpulse:
                          "-o", str(tmp_path / "x.csv"))
         assert result.returncode == 2
 
+    def test_unallocatable_trajectory_exits_2(self, workdir, tmp_path):
+        # 1e13 steps exceed the address space, so the allocation fails at once
+        result = run_cli("impulse", str(workdir / "ldn.json"), "--dt", "1e-13",
+                         "--t-max", "1", "-o", str(tmp_path / "x.csv"))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
+
 
 class TestSlide:
     def test_zero_signal_zero_trajectory(self, workdir, tmp_path):
@@ -265,6 +273,30 @@ class TestReencode:
         assert result.returncode == 0, result.stderr
         block = json.loads(out.read_text())
         assert block["kind"] == "custom" and block["q"] == 2
+
+    def test_closed_form_rejects_chebyshev(self, workdir, tmp_path):
+        # the same rule as decode: the closed form exists only for Legendre
+        result = run_cli("reencode", str(workdir / "cheb.json"), "--method",
+                         "closed-form-legendre", "-o", str(tmp_path / "re.json"))
+        assert result.returncode == 2
+        assert "closed-form-legendre only applies" in result.stderr
+
+    @pytest.mark.parametrize("text, reason", [
+        (None, "not a valid system document"),
+        ('{"format_version": 1, "kind": "ldn", "q": 2}', "malformed system document"),
+    ])
+    def test_malformed_document_reports_document_error(self, tmp_path, text, reason):
+        if text is None:
+            # a q = 6 document cut short
+            gen = run_cli("gen", "--kind", "ldn", "--q", "6")
+            assert gen.returncode == 0
+            text = gen.stdout[:120]
+        sys_file = tmp_path / "bad.json"
+        sys_file.write_text(text, encoding="utf-8")
+        result = run_cli("reencode", str(sys_file), "-o", str(tmp_path / "re.json"))
+        assert result.returncode == 2
+        assert reason in result.stderr
+        assert "basis file" not in result.stderr
 
     def test_ill_conditioned_exits_3(self, tmp_path):
         # plain monomial basis at q = 11 rides the raw Hilbert matrix

@@ -5,6 +5,8 @@ from ldnkit import bases, lti, reencode, sim
 from ldnkit.errors import IncompatibleStepError
 from ldnkit.poly import eval_poly
 
+from helpers import legendre_window_taps, perfect_window_direct_sum
+
 
 class TestDiscretize:
     def test_integrator(self):
@@ -175,6 +177,18 @@ class TestPerfectWindow:
                 lti.mk_legendre(4, 1.0), sim.Signal(samples=np.zeros(10), dt=3e-4)
             )
 
+    def test_long_signal_matches_direct_sum(self):
+        # oracle: the window's zero-order-hold taps by quadrature of the
+        # Legendre values, summed over the last theta of a 12-window random
+        # input. The delay-line recurrence errs by 2.1e-9 here (states are
+        # O(0.1)); the bound sits 14x above that.
+        dt = 1e-3
+        u = np.random.default_rng(0).standard_normal(12000)
+        traj = sim.perfect_window_transform(lti.mk_legendre(6, 1.0),
+                                            sim.Signal(samples=u, dt=dt))
+        ref = perfect_window_direct_sum(legendre_window_taps(6, 1.0, dt), u)
+        assert np.max(np.abs(traj.states - ref)) < 3e-8
+
     def test_aliasing_discrepancy_shrinks_with_q(self):
         # over [0, 0.9 theta] the dampened system deviates from the basis
         # polynomials (the perfectly windowed response) by a margin that
@@ -211,6 +225,24 @@ class TestDecodeWindow:
             peak = reencode.legendre_decoder(q, 1.0, 1.0).d @ traj.states[-1]
             peaks.append(peak)
         assert peaks[1] > peaks[0] > 0
+
+    @pytest.mark.parametrize("q", [6, 12])
+    def test_stack_matches_rows_bitwise(self, q):
+        dt = 1e-3
+        u = np.random.default_rng(q).standard_normal(3000)
+        traj = sim.sliding_transform(sim.discretize(lti.mk_ldn(q, 1.0), dt),
+                                     sim.Signal(samples=u, dt=dt))
+        decs = [reencode.legendre_decoder(q, 1.0, tp) for tp in np.linspace(0, 1, 11)]
+        stacked = sim.decode_window(traj.states, decs)
+        assert stacked.shape == (3001, 11)
+        by_row = np.array([sim.decode_window(m, decs) for m in traj.states])
+        by_pair = np.array([[dec.d @ m for dec in decs] for m in traj.states])
+        assert np.array_equal(stacked, by_row)
+        assert np.array_equal(stacked, by_pair)
+
+    def test_stack_width_mismatch(self):
+        with pytest.raises(ValueError):
+            sim.decode_window(np.zeros((5, 3)), [reencode.legendre_decoder(4, 1.0, 0.5)])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -39,7 +39,6 @@ from .lti import (
     to_scaled_ldn,
 )
 from .poly import (
-    HilbertMatrix,
     compose_affine,
     differentiate,
     eval_poly,
@@ -81,7 +80,7 @@ __all__ = [
     "condition_estimate", "expm", "lu_solve", "pinv_rows",
     "LtiSystem", "mk_chebyshev", "mk_ldn", "mk_legendre",
     "mk_poly_basis_lti", "to_original_ldn", "to_scaled_ldn",
-    "HilbertMatrix", "compose_affine", "differentiate", "eval_poly",
+    "compose_affine", "differentiate", "eval_poly",
     "hilbert", "inner_product",
     "DelayDecoder", "ReencoderMatrix", "basis_inverse", "dampen",
     "decoder_discrete", "decoder_hilbert_direct", "delay_reencoder",

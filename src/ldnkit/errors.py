@@ -6,7 +6,11 @@ class LdnkitError(Exception):
 
 
 class SingularMatrixError(LdnkitError):
-    """A pivot fell below the relative singularity threshold during LU."""
+    """A matrix is singular to working precision.
+
+    Raised when its 1-norm condition number reaches 1 / eps (about 4.5e15),
+    past which a solve would return rounding noise.
+    """
 
 
 class RankDeficientError(LdnkitError):
@@ -14,9 +18,9 @@ class RankDeficientError(LdnkitError):
 
 
 class IllConditionedError(LdnkitError):
-    """A linear solve was refused because its condition estimate is too large.
+    """A linear solve was refused because its condition number is too large.
 
-    The offending estimate is stored in ``condition``.
+    The offending condition number is stored in ``condition``.
     """
 
     def __init__(self, message: str, condition: float):

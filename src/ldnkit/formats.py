@@ -130,6 +130,8 @@ def parse_system_document(text: str) -> SystemDocument:
         raise FormatError(f"malformed system document: {exc}") from exc
     if kind not in SYSTEM_KINDS:
         raise FormatError(f"unknown system kind {kind!r}")
+    if not (np.isfinite(theta) and theta > 0):
+        raise FormatError(f"theta must be finite and positive, got {theta!r}")
     if a.shape != (q, q) or b.shape != (q,):
         raise FormatError(
             f"inconsistent shapes: q={q}, a has {a.shape}, b has {b.shape}"

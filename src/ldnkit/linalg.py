@@ -5,11 +5,13 @@ Matrices are plain ``numpy.ndarray`` objects in row-major order; vectors are
 entries, matching shapes) and never mutated, so values are safe to share
 between threads.
 
-The routines are deliberately self-contained rather than delegating to a
-LAPACK wrapper: the pivot-based singularity test and the condition estimator
-feed error reporting elsewhere in the package, and the ill-conditioned solves
-this library deals in are part of its subject matter rather than a corner
-case.
+Solves go through numpy's LAPACK. What this module adds is one singularity
+rule shared by every solve and condition number: a matrix counts as singular
+when its exact 1-norm condition number reaches 1 / eps, i.e. when it cannot
+be inverted in working precision. Such solves raise SingularMatrixError
+instead of returning rounding noise. Ill-conditioned solves short of that
+limit are part of this library's subject matter; callers that need a
+tighter limit consult condition_estimate.
 """
 
 from __future__ import annotations
@@ -20,11 +22,7 @@ import numpy as np
 
 from .errors import RankDeficientError, SingularMatrixError
 
-# A pivot this far below the largest entry of the input matrix is treated as
-# zero. Chosen just above double-precision noise so that moderately sized
-# Hilbert-matrix solves still go through (callers are expected to consult
-# condition_estimate instead of relying on the solve to fail).
-PIVOT_RTOL = 1e-13
+_EPS = np.finfo(float).eps
 
 # Order-6 diagonal Pade coefficients of exp(x); numerator N(x) = sum c[j] x^j,
 # denominator N(-x).
@@ -77,47 +75,28 @@ def one_norm(a) -> float:
     return float(np.max(np.abs(a).sum(axis=0)))
 
 
-def _lu_factor(a: np.ndarray):
-    """LU with partial pivoting, packed in one array plus a permutation.
+def _condition(a: np.ndarray) -> float:
+    """Exact 1-norm condition number ||a||_1 ||a^-1||_1 of a square matrix.
 
-    Raises SingularMatrixError when a pivot falls below PIVOT_RTOL times the
-    largest absolute entry of the input.
+    Raises SingularMatrixError unless cond * eps < 1. Written that way, the
+    test also catches the inf or nan numpy returns for exactly singular input.
     """
-    lu = a.copy()
-    n = lu.shape[0]
-    perm = np.arange(n)
-    tol = PIVOT_RTOL * float(np.max(np.abs(a))) if a.size else 0.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= tol:
-            raise SingularMatrixError(
-                f"pivot {abs(lu[p, k]):.3e} at column {k} is below "
-                f"{tol:.3e} (relative threshold {PIVOT_RTOL:g})"
-            )
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm
-
-
-def _lu_backsolve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = b[perm].astype(float, copy=True)
-    n = lu.shape[0]
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x
+    if a.size == 0:
+        return 1.0  # np.linalg.cond is undefined on empty arrays
+    cond = float(np.linalg.cond(a, 1))
+    if not cond * _EPS < 1.0:
+        raise SingularMatrixError(
+            f"1-norm condition number {cond:.3e} reaches 1/eps = {1.0 / _EPS:.3e}"
+        )
+    return cond
 
 
 def lu_solve(a, b) -> np.ndarray:
-    """Solve a x = b with partially pivoted LU.
+    """Solve a x = b through LAPACK's partially pivoted LU.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides (one per
-    column); the result has the shape of ``b``.
+    column); the result has the shape of ``b``. Raises SingularMatrixError
+    for a matrix that is singular to working precision.
     """
     a = _as_square(a, "a")
     b_arr = np.asarray(b, dtype=float)
@@ -129,15 +108,16 @@ def lu_solve(a, b) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: a is {a.shape}, b has {b_arr.shape[0]} rows"
         )
-    lu, perm = _lu_factor(a)
-    return _lu_backsolve(lu, perm, b_arr)
+    _condition(a)
+    return np.linalg.solve(a, b_arr)
 
 
 def expm(a) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a [6/6] Pade step.
 
     The input is scaled so that ||A / 2^s||_1 <= 0.5 before the approximant
-    is applied, then squared s times.
+    is applied, then squared s times. At that norm the Pade denominator is
+    nonsingular by construction, so it is solved without a singularity check.
     """
     a = _as_square(a, "a")
     n = a.shape[0]
@@ -151,7 +131,7 @@ def expm(a) -> np.ndarray:
     a4 = a2 @ a2
     u = scaled @ (_PADE6[1] * ident + _PADE6[3] * a2 + _PADE6[5] * a4)
     v = _PADE6[0] * ident + _PADE6[2] * a2 + _PADE6[4] * a4 + _PADE6[6] * (a2 @ a4)
-    f = lu_solve(v - u, v + u)
+    f = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         f = f @ f
     return f
@@ -176,25 +156,9 @@ def pinv_rows(l) -> np.ndarray:
 
 
 def condition_estimate(a) -> float:
-    """1-norm condition number estimate, correct to within a small factor.
+    """1-norm condition number ||a||_1 ||a^-1||_1, at least 1.
 
-    Uses Hager's estimator for ||a^{-1}||_1 driven by LU solves with a and
-    a^T. Propagates SingularMatrixError for singular input.
+    Computed from LAPACK's inverse, so it is exact up to rounding. Raises
+    SingularMatrixError for a matrix that is singular to working precision.
     """
-    a = _as_square(a, "a")
-    n = a.shape[0]
-    lu, perm = _lu_factor(a)
-    lu_t, perm_t = _lu_factor(a.T.copy())
-    est = 0.0
-    x = np.full(n, 1.0 / n)
-    for _ in range(5):
-        y = _lu_backsolve(lu, perm, x)
-        est = max(est, float(np.sum(np.abs(y))))
-        xi = np.where(y >= 0.0, 1.0, -1.0)
-        z = _lu_backsolve(lu_t, perm_t, xi)
-        j = int(np.argmax(np.abs(z)))
-        if abs(z[j]) <= float(z @ x):
-            break
-        x = np.zeros(n)
-        x[j] = 1.0
-    return max(one_norm(a) * est, 1.0)
+    return max(_condition(_as_square(a, "a")), 1.0)

@@ -20,7 +20,7 @@ from .bases import PolyBasis, validate
 class LtiSystem:
     """State-space system theta * dm/dt = a m + b u of order q.
 
-    ``condition`` carries the coefficient-solve condition estimate when the
+    ``condition`` carries the coefficient-solve condition number when the
     system came out of the generic basis solver, else None.
     """
 
@@ -34,9 +34,11 @@ class LtiSystem:
         return self.b.size
 
 
-def _check_order(q: int) -> None:
+def _check_args(q: int, theta: float) -> None:
     if q < 1:
         raise ValueError("q must be at least 1")
+    if not (np.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta must be finite and positive, got {theta}")
 
 
 def _alternating(q: int) -> np.ndarray:
@@ -50,7 +52,7 @@ def mk_ldn(q: int, theta: float = 1.0) -> LtiSystem:
     With 1-based indices: (A)_ij = (2j-1) * (-1 if i <= j or i+j even,
     else +1), (B)_i = (-1)^(i+1).
     """
-    _check_order(q)
+    _check_args(q, theta)
     i = np.arange(1, q + 1)[:, None]
     j = np.arange(1, q + 1)[None, :]
     sign = np.where((i > j) & ((i + j) % 2 == 1), 1.0, -1.0)
@@ -64,7 +66,7 @@ def mk_legendre(q: int, theta: float = 1.0) -> LtiSystem:
     (B)_i = (-1)^(i+1). Strictly lower triangular, so the system is not
     asymptotically stable; it exists to be dampened.
     """
-    _check_order(q)
+    _check_args(q, theta)
     i = np.arange(1, q + 1)[:, None]
     j = np.arange(1, q + 1)[None, :]
     a = np.where((i > j) & ((i + j) % 2 == 1), (4 * j - 2).astype(float), 0.0)
@@ -77,7 +79,7 @@ def mk_chebyshev(q: int, theta: float = 1.0) -> LtiSystem:
     With 1-based indices: (A)_ij = (2i-2) * (1 if j == 1 else 2) for i > j
     with i+j odd, else 0; (B)_i = (-1)^(i+1).
     """
-    _check_order(q)
+    _check_args(q, theta)
     i = np.arange(1, q + 1)[:, None]
     j = np.arange(1, q + 1)[None, :]
     weight = np.where(j == 1, 1.0, 2.0)
@@ -94,7 +96,7 @@ def mk_poly_basis_lti(basis: PolyBasis) -> LtiSystem:
     is factored once. B holds the basis values at t = 0.
 
     Raises SingularMatrixError for a rank-deficient coefficient matrix
-    (validate() should have caught that first); the condition estimate of
+    (validate() should have caught that first); the condition number of
     the coefficient matrix is attached to the result.
     """
     report = validate(basis)

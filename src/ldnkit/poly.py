@@ -8,14 +8,12 @@ The monomial representation is kept even though it is badly conditioned for
 high degrees, because every construction in this package is stated directly
 in monomial coefficients. Named bases are generated by recurrence (see
 ``bases``), not through unstable expansion paths, and callers are given
-condition estimates where it matters.
+condition numbers where it matters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -79,28 +77,19 @@ def compose_affine(p, a: float, b: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HilbertMatrix:
+def hilbert(q: int, theta: float = 1.0) -> np.ndarray:
     """Gram matrix of the monomials 1, t, ..., t^(q-1) on [0, theta].
 
     Entry (n, k) is theta^(1+n+k) / (1+n+k) with 0-based indices. For
     theta = 1 this is the classical (notoriously ill-conditioned) Hilbert
     matrix.
     """
-
-    q: int
-    theta: float
-    entries: np.ndarray
-
-
-def hilbert(q: int, theta: float = 1.0) -> HilbertMatrix:
-    """Build the order-q monomial Gram matrix on [0, theta]."""
     if q < 1:
         raise ValueError("q must be at least 1")
     if not theta > 0:
         raise ValueError("theta must be positive")
     powers = 1 + np.arange(q)[:, None] + np.arange(q)[None, :]
-    return HilbertMatrix(q=q, theta=float(theta), entries=theta ** powers / powers)
+    return theta ** powers / powers
 
 
 def inner_product(p, r, theta: float) -> float:
@@ -115,7 +104,7 @@ def inner_product(p, r, theta: float) -> float:
     q = max(p.size, r.size)
     pp, rr = pad_coefficients([p, r], q)
     cross = np.outer(pp, rr)
-    return float(np.sum(hilbert(q, theta).entries * (cross + cross.T)) / 2.0)
+    return float(np.sum(hilbert(q, theta) * (cross + cross.T)) / 2.0)
 
 
 def pad_coefficients(polys, q: int) -> np.ndarray:
@@ -135,4 +124,4 @@ def gram_matrix(polys, theta: float) -> np.ndarray:
     """Pairwise inner products of a family of polynomials over [0, theta]."""
     q = max(as_poly(p).size for p in polys)
     lam = pad_coefficients(polys, q)
-    return lam @ hilbert(q, theta).entries @ lam.T
+    return lam @ hilbert(q, theta) @ lam.T

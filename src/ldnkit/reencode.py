@@ -25,7 +25,7 @@ from .errors import IllConditionedError, RankDeficientError, SingularMatrixError
 from .lti import LtiSystem
 
 # Coefficient-space decoder solves refuse to proceed past this condition
-# estimate and raise IllConditionedError carrying the estimate instead.
+# number and raise IllConditionedError carrying the number instead.
 ILL_CONDITIONED_LIMIT = 1e14
 
 # Column-chunk size for the streaming discrete decoder; fixed so that the
@@ -103,12 +103,12 @@ def decoder_hilbert_direct(basis: PolyBasis, theta_prime: float) -> DelayDecoder
     window-reflected polynomials, Q is the monomial Gram matrix, and Lam the
     basis coefficients; the right-hand side is the basis evaluated at
     theta - theta_prime. Raises IllConditionedError past the condition
-    threshold; otherwise the estimate is attached to the result.
+    threshold; otherwise the condition number is attached to the result.
     """
     _check_delay(basis.theta, theta_prime)
     lam = basis.coefficient_matrix()
     reflected = np.vstack([poly.compose_affine(p, -1.0, basis.theta) for p in lam])
-    system = reflected @ poly.hilbert(basis.width, basis.theta).entries @ lam.T
+    system = reflected @ poly.hilbert(basis.width, basis.theta) @ lam.T
     cond = _refuse_if_ill_conditioned(system, "decoder system")
     y = poly.eval_rows(lam, basis.theta - theta_prime)
     d = linalg.lu_solve(system, y)
@@ -119,7 +119,7 @@ def decoder_hilbert_direct(basis: PolyBasis, theta_prime: float) -> DelayDecoder
 
 
 def _dual_coefficients(basis: PolyBasis) -> tuple[np.ndarray, float]:
-    """Dual-basis coefficient rows and the condition estimate of their solve.
+    """Dual-basis coefficient rows and the condition number of their solve.
 
     Solving Lam Q P^T = I gives every dual in one factorization; row j of
     the returned matrix holds the coefficients of dual j.
@@ -127,7 +127,7 @@ def _dual_coefficients(basis: PolyBasis) -> tuple[np.ndarray, float]:
     q = basis.q
     if basis.width != q:
         raise ValueError("basis inversion needs degrees bounded by q - 1")
-    system = basis.coefficient_matrix() @ poly.hilbert(q, basis.theta).entries
+    system = basis.coefficient_matrix() @ poly.hilbert(q, basis.theta)
     cond = _refuse_if_ill_conditioned(system, "basis inversion")
     return linalg.lu_solve(system, np.eye(q)).T, cond
 

@@ -112,6 +112,8 @@ def impulse_response(sys: LtiSystem, dt: float, t_max: float) -> StateTrajectory
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if not np.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     if t_max < dt:
         raise ValueError("t_max must be at least dt")
     n_steps = int(round(t_max / dt))

@@ -82,7 +82,7 @@ def test_criterion_01_exact_matrix_reproduction():
         assert np.array_equal(lti.mk_chebyshev(6, 1.0).a, chebyshev_a)
         assert np.array_equal(lti.mk_chebyshev(6, 1.0).b, b6)
         assert np.array_equal(legendre_gamma(6, 1.0).gamma, gamma_rows)
-        assert np.array_equal(poly.hilbert(4, 1.0).entries, hilbert4)
+        assert np.array_equal(poly.hilbert(4, 1.0), hilbert4)
 
 
 def test_criterion_02_dampening_identity_exact():

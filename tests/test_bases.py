@@ -39,7 +39,7 @@ class TestShiftedLegendre:
                 size = max(b.polys[n].size, b.polys[m].size)
                 pn = np.abs(np.pad(b.polys[n], (0, size - b.polys[n].size)))
                 pm = np.abs(np.pad(b.polys[m], (0, size - b.polys[m].size)))
-                bound = 32 * EPS * float(pn @ poly.hilbert(size, theta).entries @ pm)
+                bound = 32 * EPS * float(pn @ poly.hilbert(size, theta) @ pm)
                 assert abs(got - want) <= max(1e-10, bound)
 
     def test_parity(self):

@@ -104,6 +104,13 @@ class TestGen:
         result = run_cli("gen", "--kind", "fourier", "--q", "2")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "0", "-1"])
+    def test_bad_theta_exits_2(self, theta):
+        result = run_cli("gen", "--kind", "ldn", "--q", "2", "--theta", theta)
+        assert result.returncode == 2
+        assert "theta must be finite and positive" in result.stderr
+        assert result.stdout == ""
+
     def test_stdout_output(self):
         result = run_cli("gen", "--kind", "ldn", "--q", "2", "--theta", "1")
         assert result.returncode == 0
@@ -137,6 +144,13 @@ class TestImpulse:
         result = run_cli("impulse", str(junk), "--dt", "0.01", "--t-max", "0.1",
                          "-o", str(tmp_path / "x.csv"))
         assert result.returncode == 2
+
+    def test_infinite_t_max_exits_2(self, workdir, tmp_path):
+        result = run_cli("impulse", str(workdir / "ldn.json"), "--t-max", "inf",
+                         "-o", str(tmp_path / "x.csv"))
+        assert result.returncode == 2
+        assert "t_max must be finite" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_unallocatable_trajectory_exits_2(self, workdir, tmp_path):
         # 1e13 steps exceed the address space, so the allocation fails at once
@@ -297,6 +311,21 @@ class TestReencode:
         assert result.returncode == 2
         assert reason in result.stderr
         assert "basis file" not in result.stderr
+
+    @pytest.mark.parametrize("cmd", [
+        ("reencode",),
+        ("impulse", "--dt", "0.01", "--t-max", "0.1"),
+    ])
+    def test_zero_theta_document_exits_2(self, tmp_path, cmd):
+        sys_file = tmp_path / "sys.json"
+        sys_file.write_text(
+            '{"format_version": 1, "kind": "ldn", "q": 1, "theta": 0,'
+            ' "a": [[-1]], "b": [1]}', encoding="utf-8",
+        )
+        result = run_cli(cmd[0], str(sys_file), *cmd[1:], "-o", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert "theta must be finite and positive" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_ill_conditioned_exits_3(self, tmp_path):
         # plain monomial basis at q = 11 rides the raw Hilbert matrix

@@ -39,9 +39,19 @@ class TestLuSolve:
         with pytest.raises(SingularMatrixError):
             linalg.lu_solve(a, np.array([1.0, 2.0]))
 
+    def test_singular_to_working_precision(self):
+        # LAPACK alone returns +-4.5e15 noise for this matrix
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]])
+        with pytest.raises(SingularMatrixError):
+            linalg.lu_solve(a, np.array([1.0, 2.0]))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             linalg.lu_solve(np.eye(2), np.ones(3))
+
+    def test_empty_system(self):
+        assert linalg.lu_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+        assert linalg.pinv_rows(np.zeros((0, 3))).shape == (3, 0)
 
     def test_rejects_non_finite(self):
         a = np.array([[1.0, np.nan], [0.0, 1.0]])
@@ -157,6 +167,19 @@ class TestConditionEstimate:
     def test_singular_propagates(self):
         with pytest.raises(SingularMatrixError):
             linalg.condition_estimate(np.zeros((3, 3)))
+
+    def test_singular_to_working_precision(self):
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]])
+        with pytest.raises(SingularMatrixError):
+            linalg.condition_estimate(a)
+
+    def test_random_exact(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n = int(rng.integers(2, 17))
+            a = random_conditioned(rng, n, 10.0 ** rng.uniform(0, 8))
+            exact = one_norm(a) * one_norm(np.linalg.inv(a))
+            assert linalg.condition_estimate(a) == pytest.approx(exact, rel=1e-12)
 
     def test_random_within_factor_10(self):
         rng = np.random.default_rng(17)

@@ -72,6 +72,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             lti.mk_ldn(0)
 
+    @pytest.mark.parametrize("theta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_theta(self, theta):
+        for make in (lti.mk_ldn, lti.mk_legendre, lti.mk_chebyshev):
+            with pytest.raises(ValueError, match="theta must be finite and positive"):
+                make(2, theta)
+
     def test_ldn_eigenvalues_negative(self):
         for q in range(1, 17):
             eig = np.linalg.eigvals(lti.mk_ldn(q, 1.0).a)

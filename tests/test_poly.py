@@ -84,17 +84,17 @@ class TestHilbert:
             [1 / 4, 1 / 5, 1 / 6, 1 / 7],
         ])
         h = poly.hilbert(4, 1.0)
-        assert np.array_equal(h.entries, expected)
-        assert h.q == 4 and h.theta == 1.0
+        assert np.array_equal(h, expected)
+        assert isinstance(h, np.ndarray) and h.dtype == np.float64
 
     def test_q1(self):
-        assert np.array_equal(poly.hilbert(1, 1.0).entries, [[1.0]])
+        assert np.array_equal(poly.hilbert(1, 1.0), [[1.0]])
 
     def test_q2_theta2(self):
-        assert np.array_equal(poly.hilbert(2, 2.0).entries, [[2.0, 2.0], [2.0, 8 / 3]])
+        assert np.array_equal(poly.hilbert(2, 2.0), [[2.0, 2.0], [2.0, 8 / 3]])
 
     def test_symmetric_positive(self):
-        h = poly.hilbert(6, 0.7).entries
+        h = poly.hilbert(6, 0.7)
         assert np.array_equal(h, h.T)
         assert np.all(h > 0)
 

@@ -50,6 +50,7 @@ from .reencode import (
     ReencoderMatrix,
     basis_inverse,
     dampen,
+    decoder_bank,
     decoder_discrete,
     decoder_hilbert_direct,
     delay_reencoder,
@@ -83,7 +84,7 @@ __all__ = [
     "compose_affine", "differentiate", "eval_poly",
     "hilbert", "inner_product",
     "DelayDecoder", "ReencoderMatrix", "basis_inverse", "dampen",
-    "decoder_discrete", "decoder_hilbert_direct", "delay_reencoder",
+    "decoder_bank", "decoder_discrete", "decoder_hilbert_direct", "delay_reencoder",
     "encoder", "evaluated_decoder", "legendre_decoder",
     "DiscreteSystem", "Signal", "StateTrajectory", "decode_window",
     "discretize", "impulse_response", "impulse_signal",

@@ -64,8 +64,8 @@ class ValidityReport:
 
 def make_basis(polys, theta: float) -> PolyBasis:
     """Bundle coefficient arrays into a PolyBasis without validating them."""
-    if not theta > 0:
-        raise ValueError("theta must be positive")
+    if not (np.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta must be finite and positive, got {theta}")
     coeffs = tuple(poly.as_poly(p) for p in polys)
     if len(coeffs) < 1:
         raise ValueError("a basis needs at least one polynomial")

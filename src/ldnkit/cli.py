@@ -51,6 +51,9 @@ _METHODS = (
 
 _DEFAULT_DISCRETE_SAMPLES = 100_000
 
+# Kinds whose basis is the shifted Legendre family.
+_LEGENDRE_KINDS = ("ldn", "legendre")
+
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
@@ -81,7 +84,7 @@ def _build_system(kind: str, q: int | None, theta: float, basis: PolyBasis | Non
 
 
 def _basis_for_document(doc: formats.SystemDocument) -> PolyBasis:
-    if doc.kind in ("ldn", "legendre"):
+    if doc.kind in _LEGENDRE_KINDS:
         return shifted_legendre(doc.q, doc.theta)
     if doc.kind == "chebyshev":
         return shifted_chebyshev(doc.q, doc.theta)
@@ -97,21 +100,13 @@ def _basis_for_document(doc: formats.SystemDocument) -> PolyBasis:
 
 
 def _decoders(doc: formats.SystemDocument, method: str, theta_primes, n_samples: int):
-    theta = doc.theta
     if method == reencode.METHOD_LEGENDRE:
-        if doc.kind not in ("ldn", "legendre"):
+        if doc.kind not in _LEGENDRE_KINDS:
             raise FormatError(
                 "closed-form-legendre only applies to ldn/legendre systems"
             )
-        return [reencode.legendre_decoder(doc.q, theta, tp) for tp in theta_primes]
-    basis = _basis_for_document(doc)
-    if method == reencode.METHOD_HILBERT:
-        return [reencode.decoder_hilbert_direct(basis, tp) for tp in theta_primes]
-    if method == reencode.METHOD_BASIS_INVERSE:
-        return [reencode.evaluated_decoder(basis, tp) for tp in theta_primes]
-    if method == reencode.METHOD_DISCRETE:
-        return reencode.discrete_decoders(basis, n_samples, theta_primes)
-    raise FormatError(f"unknown method {method!r}")
+        return [reencode.legendre_decoder(doc.q, doc.theta, tp) for tp in theta_primes]
+    return reencode.decoder_bank(_basis_for_document(doc), theta_primes, method, n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +185,7 @@ def _cmd_reencode(args) -> int:
     if method is None:
         method = (
             reencode.METHOD_LEGENDRE
-            if doc.kind in ("ldn", "legendre")
+            if doc.kind in _LEGENDRE_KINDS
             else reencode.METHOD_HILBERT
         )
     if method == reencode.METHOD_LEGENDRE:

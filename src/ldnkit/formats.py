@@ -216,15 +216,8 @@ def read_csv(path):
     return header, np.asarray(rows, dtype=float)
 
 
-def read_signal_csv(path):
-    """Parse a 't,u' CSV into (t0, Signal), enforcing uniform spacing."""
-    header, rows = read_csv(path)
-    if [h.strip() for h in header[:2]] != ["t", "u"] or len(header) != 2:
-        raise FormatError(f"{path}: expected header 't,u'")
-    t = rows[:, 0]
-    u = rows[:, 1]
-    if t.size < 2:
-        raise FormatError(f"{path}: need at least two samples")
+def _uniform_step(path, t: np.ndarray) -> float:
+    """Mean spacing of a time column; NonUniformSignalError unless uniform."""
     steps = np.diff(t)
     dt = float(np.mean(steps))
     if dt <= 0:
@@ -235,7 +228,18 @@ def read_signal_csv(path):
             f"{path}: non-uniform sample spacing (relative jitter "
             f"{jitter / dt:.3e} exceeds {UNIFORMITY_RTOL:g})"
         )
-    return float(t[0]), Signal(samples=u, dt=dt)
+    return dt
+
+
+def read_signal_csv(path):
+    """Parse a 't,u' CSV into (t0, Signal), enforcing uniform spacing."""
+    header, rows = read_csv(path)
+    if [h.strip() for h in header[:2]] != ["t", "u"] or len(header) != 2:
+        raise FormatError(f"{path}: expected header 't,u'")
+    t = rows[:, 0]
+    if t.size < 2:
+        raise FormatError(f"{path}: need at least two samples")
+    return float(t[0]), Signal(samples=rows[:, 1], dt=_uniform_step(path, t))
 
 
 def write_trajectory_csv(path, traj: StateTrajectory, t0: float = 0.0,
@@ -259,11 +263,7 @@ def read_trajectory_csv(path):
     t = rows[:, 0]
     if t.size < 2:
         raise FormatError(f"{path}: need at least two rows")
-    steps = np.diff(t)
-    dt = float(np.mean(steps))
-    if dt <= 0 or np.max(np.abs(steps - dt)) > UNIFORMITY_RTOL * max(dt, 1e-300):
-        raise NonUniformSignalError(f"{path}: non-uniform trajectory spacing")
-    return float(t[0]), StateTrajectory(states=rows[:, 1:], dt=dt)
+    return float(t[0]), StateTrajectory(states=rows[:, 1:], dt=_uniform_step(path, t))
 
 
 # ---------------------------------------------------------------------------

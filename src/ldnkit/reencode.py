@@ -6,11 +6,12 @@ state, assuming the window content lies in the span of the basis. Their
 outer product Gamma erases window-old information from the state;
 subtracting it from the feedback matrix dampens the system.
 
-Three decoder construction methods are provided besides the Legendre closed
-form. The two coefficient-space methods share the same ill-conditioning (the
-monomial Gram matrix is a scaled Hilbert matrix), so they refuse to return
-noise: past a condition threshold they raise instead. The discrete method
-trades exactness for stability and is the practical fallback.
+Besides the Legendre closed form, decoder_bank builds decoders for all
+delays at once by three methods. The two coefficient-space methods share the
+same ill-conditioning (the monomial Gram matrix is a scaled Hilbert matrix),
+so they refuse to return noise: past a condition threshold they raise
+instead. The discrete method trades exactness for stability and is the
+practical fallback.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .errors import IllConditionedError, RankDeficientError, SingularMatrixError
 from .lti import LtiSystem
 
 # Coefficient-space decoder solves refuse to proceed past this condition
-# number and raise IllConditionedError carrying the number instead.
+# number and raise IllConditionedError carrying the number instead. It lies far
+# below linalg's singularity limit, so solves that pass it skip linalg's check.
 ILL_CONDITIONED_LIMIT = 1e14
 
 # Column-chunk size for the streaming discrete decoder; fixed so that the
@@ -96,28 +98,6 @@ def _refuse_if_ill_conditioned(matrix: np.ndarray, what: str) -> float:
     return cond
 
 
-def decoder_hilbert_direct(basis: PolyBasis, theta_prime: float) -> DelayDecoder:
-    """Solve the defining linear system of the decoder in coefficient space.
-
-    The system matrix is P Q Lam^T, where P holds the coefficients of the
-    window-reflected polynomials, Q is the monomial Gram matrix, and Lam the
-    basis coefficients; the right-hand side is the basis evaluated at
-    theta - theta_prime. Raises IllConditionedError past the condition
-    threshold; otherwise the condition number is attached to the result.
-    """
-    _check_delay(basis.theta, theta_prime)
-    lam = basis.coefficient_matrix()
-    reflected = np.vstack([poly.compose_affine(p, -1.0, basis.theta) for p in lam])
-    system = reflected @ poly.hilbert(basis.width, basis.theta) @ lam.T
-    cond = _refuse_if_ill_conditioned(system, "decoder system")
-    y = poly.eval_rows(lam, basis.theta - theta_prime)
-    d = linalg.lu_solve(system, y)
-    return DelayDecoder(
-        d=d, theta_prime=float(theta_prime), theta=basis.theta,
-        method=METHOD_HILBERT, condition=cond,
-    )
-
-
 def _dual_coefficients(basis: PolyBasis) -> tuple[np.ndarray, float]:
     """Dual-basis coefficient rows and the condition number of their solve.
 
@@ -129,7 +109,7 @@ def _dual_coefficients(basis: PolyBasis) -> tuple[np.ndarray, float]:
         raise ValueError("basis inversion needs degrees bounded by q - 1")
     system = basis.coefficient_matrix() @ poly.hilbert(q, basis.theta)
     cond = _refuse_if_ill_conditioned(system, "basis inversion")
-    return linalg.lu_solve(system, np.eye(q)).T, cond
+    return np.linalg.solve(system, np.eye(q)).T, cond
 
 
 def basis_inverse(basis: PolyBasis) -> tuple[np.ndarray, ...]:
@@ -142,60 +122,83 @@ def basis_inverse(basis: PolyBasis) -> tuple[np.ndarray, ...]:
     return tuple(row.copy() for row in duals)
 
 
+def decoder_bank(basis: PolyBasis, theta_primes, method: str,
+                 n_samples: int = 100_000) -> list[DelayDecoder]:
+    """Delay decoders of one basis-space method for every theta' at once.
+
+    Each method builds one theta'-independent matrix, takes one condition
+    number of it and does one multi-column solve:
+
+    - hilbert-direct solves P Q Lam^T d = (the basis at theta - theta'),
+      where P holds the coefficients of the window-reflected polynomials,
+      Q is the monomial Gram matrix and Lam the basis coefficients.
+    - basis-inverse evaluates the dual basis (see basis_inverse) at theta'.
+    - discrete-pinv takes row floor((N-1) theta' / theta) + 1 of the right
+      pseudo-inverse of the q x N sample matrix, scaled by N / theta, from
+      one solve with its Gram matrix, accumulated over fixed-size column
+      chunks (O(qN) time, O(q^2) space). Useful accuracy needs N = n_samples
+      well past q; results sharpen roughly linearly in N.
+
+    The coefficient-space methods raise IllConditionedError past
+    ILL_CONDITIONED_LIMIT and attach the condition number to each decoder;
+    discrete-pinv raises RankDeficientError for a rank-deficient sampling.
+    """
+    if method not in (METHOD_HILBERT, METHOD_BASIS_INVERSE, METHOD_DISCRETE):
+        raise ValueError(f"unknown basis-space decoder method {method!r}")
+    q, theta = basis.q, basis.theta
+    if method == METHOD_DISCRETE and n_samples < 2 * q:
+        raise ValueError(f"n_samples must be at least 2q = {2 * q}")
+    theta_primes = np.asarray(theta_primes, dtype=float)
+    for tp in theta_primes:
+        _check_delay(theta, tp)
+    cond = None
+    if method == METHOD_BASIS_INVERSE:
+        duals, cond = _dual_coefficients(basis)
+        d = poly.eval_rows(duals, theta_primes)
+    elif method == METHOD_HILBERT:
+        lam = basis.coefficient_matrix()
+        reflected = np.vstack([poly.compose_affine(p, -1.0, theta) for p in lam])
+        system = reflected @ poly.hilbert(basis.width, theta) @ lam.T
+        cond = _refuse_if_ill_conditioned(system, "decoder system")
+        d = np.linalg.solve(system, poly.eval_rows(lam, theta - theta_primes))
+    else:
+        lam = basis.coefficient_matrix()
+        step = theta / (n_samples - 1)
+        gram = np.zeros((q, q))
+        for start in range(0, n_samples, _CHUNK):
+            idx = np.arange(start, min(start + _CHUNK, n_samples), dtype=float)
+            vals = poly.eval_rows(lam, idx * step)
+            gram += vals @ vals.T
+        cols = poly.eval_rows(lam, np.floor((n_samples - 1) * theta_primes / theta) * step)
+        try:
+            d = (n_samples / theta) * linalg.lu_solve(gram, cols)
+        except SingularMatrixError as exc:
+            raise RankDeficientError(f"sampled basis is rank deficient: {exc}") from exc
+    return [
+        DelayDecoder(d=col.copy(), theta_prime=float(tp), theta=theta,
+                     method=method, condition=cond)
+        for tp, col in zip(theta_primes, d.T)
+    ]
+
+
+def decoder_hilbert_direct(basis: PolyBasis, theta_prime: float) -> DelayDecoder:
+    """Decoder from the coefficient-space linear system (see decoder_bank)."""
+    return decoder_bank(basis, [theta_prime], METHOD_HILBERT)[0]
+
+
 def evaluated_decoder(basis: PolyBasis, theta_prime: float) -> DelayDecoder:
     """Delay decoder obtained by evaluating the dual basis at theta_prime."""
-    _check_delay(basis.theta, theta_prime)
-    duals, cond = _dual_coefficients(basis)
-    d = poly.eval_rows(duals, theta_prime)
-    return DelayDecoder(
-        d=d, theta_prime=float(theta_prime), theta=basis.theta,
-        method=METHOD_BASIS_INVERSE, condition=cond,
-    )
+    return decoder_bank(basis, [theta_prime], METHOD_BASIS_INVERSE)[0]
 
 
 def decoder_discrete(basis: PolyBasis, n_samples: int, theta_prime: float) -> DelayDecoder:
-    """Decoder from the pseudo-inverse of the basis sampled at N grid points.
-
-    Row i = floor((N-1) theta' / theta) + 1 of the right pseudo-inverse of
-    the q x N sample matrix L, scaled by N / theta. L is never materialized:
-    its Gram matrix is accumulated over fixed-size column chunks (O(qN)
-    time, O(q^2) space) and the needed pseudo-inverse row reduces to one
-    Gram solve. Useful accuracy needs N well past the polynomial count;
-    results sharpen roughly linearly in N.
-
-    Raises RankDeficientError (via the Gram solve) for a sampled basis
-    without full row rank.
-    """
-    return discrete_decoders(basis, n_samples, [theta_prime])[0]
+    """Decoder from the pseudo-inverse of the sampled basis (see decoder_bank)."""
+    return decoder_bank(basis, [theta_prime], METHOD_DISCRETE, n_samples)[0]
 
 
 def discrete_decoders(basis: PolyBasis, n_samples: int, theta_primes) -> list[DelayDecoder]:
     """Batch form of decoder_discrete: one Gram pass, one multi-column solve."""
-    q = basis.q
-    if n_samples < 2 * q:
-        raise ValueError(f"n_samples must be at least 2q = {2 * q}")
-    theta_primes = np.asarray(theta_primes, dtype=float)
-    for tp in theta_primes:
-        _check_delay(basis.theta, tp)
-    lam = basis.coefficient_matrix()
-    step = basis.theta / (n_samples - 1)
-    gram = np.zeros((q, q))
-    for start in range(0, n_samples, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n_samples), dtype=float)
-        vals = poly.eval_rows(lam, idx * step)
-        gram += vals @ vals.T
-    cols = poly.eval_rows(lam, np.floor((n_samples - 1) * theta_primes / basis.theta) * step)
-    try:
-        solved = linalg.lu_solve(gram, cols)
-    except SingularMatrixError as exc:
-        raise RankDeficientError(f"sampled basis is rank deficient: {exc}") from exc
-    return [
-        DelayDecoder(
-            d=(n_samples / basis.theta) * solved[:, i],
-            theta_prime=float(tp), theta=basis.theta, method=METHOD_DISCRETE,
-        )
-        for i, tp in enumerate(theta_primes)
-    ]
+    return decoder_bank(basis, theta_primes, METHOD_DISCRETE, n_samples)
 
 
 def delay_reencoder(e: np.ndarray, d: DelayDecoder) -> ReencoderMatrix:

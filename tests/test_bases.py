@@ -77,6 +77,13 @@ class TestShiftedChebyshev:
         assert np.max(np.abs(b.values(grid))) <= 1.0 + 1e-9
 
 
+class TestMakeBasis:
+    @pytest.mark.parametrize("theta", [np.inf, np.nan])
+    def test_non_finite_theta(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite and positive"):
+            bases.make_basis([[1.0], [-1.0, 2.0]], theta)
+
+
 class TestValidate:
     def test_legendre_passes(self):
         report = bases.validate(bases.shifted_legendre(6, 1.0))

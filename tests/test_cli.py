@@ -236,6 +236,34 @@ class TestDecode:
         for method in ("hilbert-direct", "basis-inverse"):
             assert np.max(np.abs(outs[method] - base)) < 1e-5
 
+    @pytest.mark.parametrize("method", ["hilbert-direct", "basis-inverse", "discrete-pinv"])
+    def test_decoder_bank_matches_per_delay(self, workdir, tmp_path, method):
+        from ldnkit import bases, reencode
+
+        traj = tmp_path / "traj.csv"
+        result = run_cli("slide", str(workdir / "cheb.json"),
+                         "--signal", str(workdir / "impulse.csv"), "-o", str(traj))
+        assert result.returncode == 0, result.stderr
+        out = tmp_path / "dec.csv"
+        result = run_cli("decode", str(workdir / "cheb.json"), "--trajectory", str(traj),
+                         "--method", method, "--theta-prime-grid", "101",
+                         "--n-samples", "2000", "-o", str(out))
+        assert result.returncode == 0, result.stderr
+        basis = bases.shifted_chebyshev(6, 1.0)
+        single = {
+            "hilbert-direct": lambda tp: reencode.decoder_hilbert_direct(basis, tp),
+            "basis-inverse": lambda tp: reencode.evaluated_decoder(basis, tp),
+            "discrete-pinv": lambda tp: reencode.decoder_discrete(basis, 2000, tp),
+        }[method]
+        decoders = np.array([single(i / 100).d for i in range(101)])
+        states = np.loadtxt(traj, delimiter=",", skiprows=1)[:, 1:]
+        want = states @ decoders.T
+        got = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:]
+        assert got.shape == want.shape
+        # the solve-based methods round their multi-column solve differently
+        # from one solve per delay; q = 6 Chebyshev has condition ~11
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_wrong_q_trajectory_exits_2(self, workdir, tmp_path):
         traj = tmp_path / "traj.csv"
         traj.write_text("t,m_0\n0.0,0.0\n0.001,0.0\n", encoding="utf-8")
@@ -326,6 +354,20 @@ class TestReencode:
         assert result.returncode == 2
         assert "theta must be finite and positive" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("theta", ["Infinity", "NaN"])
+    @pytest.mark.parametrize("cmd", ["gen", "reencode"])
+    def test_non_finite_basis_theta_exits_2(self, tmp_path, cmd, theta):
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text(
+            '{"theta": %s, "polys": [[1.0], [-1.0, 2.0]]}' % theta, encoding="utf-8"
+        )
+        args = (["gen", "--kind", "custom", "--basis", str(basis_file)] if cmd == "gen"
+                else ["reencode", str(basis_file)])
+        result = run_cli(*args, "-o", str(tmp_path / "out.json"))
+        assert result.returncode == 2
+        assert "theta must be finite and positive" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
 
     def test_ill_conditioned_exits_3(self, tmp_path):
         # plain monomial basis at q = 11 rides the raw Hilbert matrix

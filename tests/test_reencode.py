@@ -3,7 +3,7 @@ import pytest
 
 from helpers import legendre_value_recurrence
 from ldnkit import bases, linalg, lti, poly, reencode
-from ldnkit.errors import IllConditionedError
+from ldnkit.errors import IllConditionedError, RankDeficientError
 
 
 def unit_basis(theta=1.0):
@@ -161,6 +161,91 @@ class TestDiscreteDecoder:
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             reencode.decoder_discrete(bases.shifted_legendre(4, 1.0), 7, 0.5)
+
+
+BANK_METHODS = (reencode.METHOD_HILBERT, reencode.METHOD_BASIS_INVERSE,
+                reencode.METHOD_DISCRETE)
+
+
+def monomials(q):
+    return bases.make_basis([np.eye(q)[k] for k in range(q)], 1.0)
+
+
+class TestDecoderBank:
+    @pytest.mark.parametrize("q", [6, 12])
+    @pytest.mark.parametrize("family", ["legendre", "chebyshev", "random"])
+    def test_matches_per_delay_functions(self, q, family):
+        theta = 2.0
+        basis = {
+            "legendre": lambda: bases.shifted_legendre(q, theta),
+            "chebyshev": lambda: bases.shifted_chebyshev(q, theta),
+            "random": lambda: bases.random_basis(q, theta, seed=0),
+        }[family]()
+        tps = theta * np.arange(11) / 10
+        per_delay = {
+            reencode.METHOD_HILBERT: lambda tp: reencode.decoder_hilbert_direct(basis, tp),
+            reencode.METHOD_BASIS_INVERSE: lambda tp: reencode.evaluated_decoder(basis, tp),
+            reencode.METHOD_DISCRETE: lambda tp: reencode.decoder_discrete(basis, 2000, tp),
+        }
+        # a multi-column solve rounds differently from K vector solves; both
+        # are backward stable, so they agree to q * cond * eps relative
+        # (measured: at most 2e-2 of that); evaluating the duals is exact
+        eps = np.finfo(float).eps
+        gram_condition = bases.validate(basis).gram_condition
+        for method, single in per_delay.items():
+            bank = reencode.decoder_bank(basis, tps, method, n_samples=2000)
+            assert len(bank) == tps.size
+            for dec, tp in zip(bank, tps):
+                ref = single(tp)
+                assert (dec.theta_prime, dec.theta, dec.method, dec.condition) == (
+                    ref.theta_prime, ref.theta, ref.method, ref.condition)
+                if method == reencode.METHOD_HILBERT:
+                    tol = q * ref.condition * eps
+                elif method == reencode.METHOD_DISCRETE:
+                    tol = q * gram_condition * eps
+                else:
+                    tol = 0.0
+                assert np.max(np.abs(dec.d - ref.d)) <= tol * np.max(np.abs(ref.d))
+
+    @pytest.mark.parametrize("method", BANK_METHODS)
+    @pytest.mark.parametrize("k", [1, 11, 101])
+    def test_one_condition_number_per_call(self, monkeypatch, method, k):
+        calls = []
+        condition = linalg._condition
+
+        def counted(a):
+            calls.append(a.shape)
+            return condition(a)
+
+        monkeypatch.setattr(linalg, "_condition", counted)
+        bank = reencode.decoder_bank(bases.shifted_chebyshev(6, 1.0),
+                                     np.linspace(0.0, 1.0, k), method, n_samples=2000)
+        assert len(bank) == k
+        assert calls == [(6, 6)]
+
+    @pytest.mark.parametrize("method", BANK_METHODS)
+    @pytest.mark.parametrize("tp", [-0.1, 1.5])
+    def test_out_of_range_delay(self, method, tp):
+        with pytest.raises(ValueError, match="theta_prime must lie in"):
+            reencode.decoder_bank(bases.shifted_legendre(4, 1.0), [0.5, tp], method)
+
+    def test_rejects_closed_form(self):
+        with pytest.raises(ValueError, match="unknown basis-space decoder method"):
+            reencode.decoder_bank(bases.shifted_legendre(4, 1.0), [0.5],
+                                  reencode.METHOD_LEGENDRE)
+
+    @pytest.mark.parametrize("method", [reencode.METHOD_HILBERT,
+                                        reencode.METHOD_BASIS_INVERSE])
+    def test_ill_conditioned_raises(self, method):
+        with pytest.raises(IllConditionedError) as info:
+            reencode.decoder_bank(monomials(11), [0.0, 0.5, 1.0], method)
+        assert info.value.condition > reencode.ILL_CONDITIONED_LIMIT
+
+    def test_rank_deficient_raises(self):
+        dependent = bases.make_basis([[1.0, 2.0], [2.0, 4.0]], 1.0)
+        with pytest.raises(RankDeficientError):
+            reencode.decoder_bank(dependent, [0.0, 1.0], reencode.METHOD_DISCRETE,
+                                  n_samples=100)
 
 
 class TestMethodAgreement:

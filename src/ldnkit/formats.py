@@ -8,7 +8,10 @@ output. System documents carry every float with 17 significant digits
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,19 +189,103 @@ def basis_to_text(basis: PolyBasis) -> str:
 # CSV
 
 
+# Rows per block that write_csv formats as one unit, inline or on a worker.
+_BLOCK_ROWS = 2048
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _format_block(block: np.ndarray) -> str:
+    """CSV lines of a float block; repr is the shortest round-trip decimal."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+
+
+def _format_pool(n_blocks: int):
+    """A pool of one forked worker per usable CPU, or a null context to format inline.
+
+    Formatting is one pure-Python ``repr`` per cell, so only more CPUs make
+    it faster. The workers run nothing but ``_format_block`` on the blocks
+    pickled to them, and call no BLAS, so the BLAS threads a fork leaves
+    behind do not matter; fork saves the fresh interpreter and numpy import
+    a spawned worker would pay on every CLI run.
+    """
+    cpus = _usable_cpus()
+    if cpus > 1 and n_blocks > 1:
+        # imported here, not at module level, so that CLI starts without a pool skip it
+        import multiprocessing
+
+        # a daemonic process, such as a pool worker, may not start children
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            return multiprocessing.get_context("fork").Pool(cpus)
+    return contextlib.nullcontext()
+
+
 def write_csv(path, header, rows) -> None:
-    """Comma-separated, LF line endings, shortest round-trip decimals."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(shortest_float(x) for x in row) + "\n")
+    """Comma-separated, LF line endings, shortest round-trip decimals.
+
+    ``rows`` is any iterable of equal-length rows of numbers. The bytes
+    written do not depend on how many CPUs format them.
+    """
+    rows = iter(rows)
+    blocks = []
+    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+        blocks.append(np.array(block, dtype=float))
+    with _format_pool(len(blocks)) as pool:
+        lines = map(_format_block, blocks) if pool is None else pool.imap(_format_block, blocks)
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(",".join(header) + "\n")
+            handle.writelines(lines)
+
+
+def _strip_eol(line: str) -> str:
+    return line.rstrip("\n").rstrip("\r")
+
+
+def _loadtxt_lines(lines):
+    """Lines for np.loadtxt, stopping with ValueError at an ASCII separator.
+
+    numpy's reader strips the separators U+001C..U+001F around a number as
+    whitespace; ``float`` rejects them, and so must read_csv.
+    """
+    for line in lines:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("ASCII separator in a line")
+        yield line
 
 
 def read_csv(path):
-    """Return (header, rows as float ndarray). Raises FormatError on junk."""
+    """Return (header, rows as float ndarray). Raises FormatError on junk.
+
+    numpy's C reader parses the data rows. A file it rejects, or one with
+    no data row, is read again line by line by ``_read_csv_by_line``, which
+    accepts exactly what ``float`` accepts and names the offending line.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n").rstrip("\r") for line in handle]
-    lines = [line for line in lines if line]
+        nonblank = (line for line in handle if _strip_eol(line))
+        header, first = next(nonblank, None), next(nonblank, None)
+        if first is not None:
+            header = _strip_eol(header).split(",")
+            try:
+                rows = np.loadtxt(_loadtxt_lines(itertools.chain([first], handle)),
+                                  delimiter=",", comments=None, ndmin=2, dtype=float)
+            except ValueError:
+                rows = None
+            if rows is not None and rows.shape[1] == len(header):
+                return header, rows
+        handle.seek(0)
+        return _read_csv_by_line(path, handle)
+
+
+def _read_csv_by_line(path, handle):
+    """read_csv one cell at a time: blank lines skipped, errors as path:lineno."""
+    lines = [line for line in map(_strip_eol, handle) if line]
     if not lines:
         raise FormatError(f"{path}: empty CSV")
     header = lines[0].split(",")
@@ -220,10 +307,11 @@ def _uniform_step(path, t: np.ndarray) -> float:
     """Mean spacing of a time column; NonUniformSignalError unless uniform."""
     steps = np.diff(t)
     dt = float(np.mean(steps))
-    if dt <= 0:
+    # written as negations so that a NaN time is rejected too
+    if not dt > 0:
         raise NonUniformSignalError(f"{path}: time column is not increasing")
     jitter = float(np.max(np.abs(steps - dt)))
-    if jitter > UNIFORMITY_RTOL * dt:
+    if not jitter <= UNIFORMITY_RTOL * dt:
         raise NonUniformSignalError(
             f"{path}: non-uniform sample spacing (relative jitter "
             f"{jitter / dt:.3e} exceeds {UNIFORMITY_RTOL:g})"
@@ -247,12 +335,8 @@ def write_trajectory_csv(path, traj: StateTrajectory, t0: float = 0.0,
     """Time column plus the states, in columns m_0, m_1, ... unless named."""
     if columns is None:
         columns = [f"m_{n}" for n in range(traj.states.shape[1])]
-    header = ["t"] + list(columns)
-    rows = (
-        [t0 + k * traj.dt] + list(traj.states[k])
-        for k in range(traj.states.shape[0])
-    )
-    write_csv(path, header, rows)
+    table = np.column_stack((t0 + traj.times, traj.states))
+    write_csv(path, ["t", *columns], table)
 
 
 def read_trajectory_csv(path):

@@ -86,3 +86,9 @@ def perfect_window_direct_sum(taps, u):
     for j in range(taps.shape[1]):
         out[1:, j] = np.convolve(u, taps[:, j])[: u.size]
     return out
+
+
+def csv_text(header, rows):
+    """CSV text cell by cell: header line, then repr of each float, LF endings."""
+    lines = [",".join(header)] + [",".join(repr(float(x)) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -192,6 +192,13 @@ class TestSlide:
                          "-o", str(tmp_path / "x.csv"))
         assert result.returncode == 4
 
+    def test_nan_time_exits_4(self, workdir, tmp_path):
+        sig = tmp_path / "nan.csv"
+        sig.write_text("t,u\n0.0,1.0\nnan,0.0\n0.002,0.0\n", encoding="utf-8")
+        result = run_cli("slide", str(workdir / "ldn.json"), "--signal", str(sig),
+                         "-o", str(tmp_path / "x.csv"))
+        assert result.returncode == 4, result.stderr
+
     def test_incompatible_step_exits_4(self, workdir, tmp_path):
         sig = tmp_path / "odd.csv"
         with open(sig, "w", newline="\n") as f:
@@ -263,6 +270,19 @@ class TestDecode:
         # the solve-based methods round their multi-column solve differently
         # from one solve per delay; q = 6 Chebyshev has condition ~11
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_nan_time_exits_4(self, workdir, tmp_path):
+        traj = tmp_path / "nan.csv"
+        traj.write_text(
+            "t," + ",".join(f"m_{n}" for n in range(6)) + "\n"
+            + "".join(t + ",0.0" * 6 + "\n" for t in ("0.0", "nan", "0.002")),
+            encoding="utf-8",
+        )
+        out = tmp_path / "x.csv"
+        result = run_cli("decode", str(workdir / "ldn.json"), "--trajectory", str(traj),
+                         "-o", str(out))
+        assert result.returncode == 4, result.stderr
+        assert not out.exists()
 
     def test_wrong_q_trajectory_exits_2(self, workdir, tmp_path):
         traj = tmp_path / "traj.csv"

@@ -1,8 +1,14 @@
+import contextlib
+import multiprocessing
+import warnings
+
 import numpy as np
 import pytest
 
 from ldnkit import bases, formats, lti, sim
 from ldnkit.errors import FormatError, NonUniformSignalError
+
+from helpers import csv_text
 
 
 class TestSystemDocument:
@@ -117,6 +123,103 @@ class TestCsv:
         path.write_text("t,u\n", encoding="utf-8")
         with pytest.raises(FormatError):
             formats.read_csv(path)
+
+
+def _awkward_table(n_rows):
+    """Rows spanning several write blocks: edge doubles plus ±300 decades."""
+    rng = np.random.default_rng(5)
+    mantissa = rng.uniform(1.0, 10.0, (n_rows, 4)) * rng.choice([-1.0, 1.0], (n_rows, 4))
+    table = mantissa * 10.0 ** rng.integers(-300, 300, (n_rows, 4))
+    edge = [-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
+    table[: len(edge), 0] = edge
+    table[-len(edge):, 3] = edge
+    return table
+
+
+class TestCsvBlocks:
+    """write_csv formats in blocks, on a pool when the process has the CPUs."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_matches_per_cell_repr(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(formats, "_usable_cpus", lambda: cpus)
+        pools = []
+        make_pool = formats._format_pool
+        monkeypatch.setattr(formats, "_format_pool",
+                            lambda n: pools.append(make_pool(n)) or pools[-1])
+        table = _awkward_table(3 * formats._BLOCK_ROWS + 17)
+        path = tmp_path / "blocks.csv"
+        formats.write_csv(path, ["a", "b", "c", "d"], table)
+        assert path.read_bytes() == csv_text(["a", "b", "c", "d"], table).encode()
+        pooled = cpus > 1 and "fork" in multiprocessing.get_all_start_methods()
+        assert isinstance(pools[0], contextlib.nullcontext) != pooled
+
+    def test_generator_of_rows_writes_same_bytes(self, tmp_path):
+        table = _awkward_table(2 * formats._BLOCK_ROWS + 1)
+        formats.write_csv(tmp_path / "table.csv", ["a", "b", "c", "d"], table)
+        formats.write_csv(tmp_path / "gen.csv", ["a", "b", "c", "d"], (row for row in table))
+        formats.write_csv(tmp_path / "lists.csv", ["a", "b", "c", "d"], table.tolist())
+        want = (tmp_path / "table.csv").read_bytes()
+        assert (tmp_path / "gen.csv").read_bytes() == want
+        assert (tmp_path / "lists.csv").read_bytes() == want
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_inside_a_pool_worker(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "_usable_cpus", lambda: 2)
+        table = _awkward_table(2 * formats._BLOCK_ROWS + 1)
+        path = tmp_path / "worker.csv"
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            pool.apply(formats.write_csv, (path, ["a", "b", "c", "d"], table))
+        assert path.read_bytes() == csv_text(["a", "b", "c", "d"], table).encode()
+
+    def test_trajectory_time_column_is_t0_plus_k_dt(self, tmp_path):
+        n = formats._BLOCK_ROWS + 5
+        traj = sim.StateTrajectory(states=np.full((n, 1), 0.1), dt=0.1)
+        path = tmp_path / "traj.csv"
+        formats.write_trajectory_csv(path, traj, t0=0.3)
+        rows = [[0.3 + k * 0.1, 0.1] for k in range(n)]
+        assert path.read_text(encoding="utf-8") == csv_text(["t", "m_0"], rows)
+
+
+class TestCsvReader:
+    @staticmethod
+    def _write(tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    def test_crlf_and_blank_lines(self, tmp_path):
+        path = self._write(tmp_path, "\r\nt,u\r\n\r\n0.0,1.5\r\n\n0.1,-2e-300\r\n\n")
+        header, rows = formats.read_csv(path)
+        assert header == ["t", "u"]
+        assert np.array_equal(rows, [[0.0, 1.5], [0.1, -2e-300]])
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,u\n0.0\n0.1\n", "2: expected 2 cells"),
+        ("t,u\n0.0,1.0\n0.1\n", "3: expected 2 cells"),
+        ("t,u\n0.0,1.0\n0.1,2.0,\n", "3: expected 2 cells"),
+        ("t,u\n\n0.0,1.0\n\nabc,2.0\n", "3: could not convert string to float: 'abc'"),
+        ("t,u\n0.0,1.0\n   \n", "3: expected 2 cells"),
+        ("t\n0.0\n\t\n", "3: could not convert string to float: '\\t'"),
+        ("t,u\n0.0,\x1c1.0\n", "2: could not convert string to float: '\\x1c1.0'"),
+    ])
+    def test_errors_name_the_line(self, tmp_path, text, message):
+        path = self._write(tmp_path, text)
+        with pytest.raises(FormatError) as excinfo:
+            formats.read_csv(path)
+        assert str(excinfo.value) == f"{path}:{message}"
+
+    def test_accepts_what_float_accepts(self, tmp_path):
+        path = self._write(tmp_path, "t,u\n1_5, \u0661\u0662 \n")
+        assert formats.read_csv(path)[1].tolist() == [[15.0, 12.0]]
+
+    def test_no_data_rows_without_warning(self, tmp_path):
+        path = self._write(tmp_path, "t,u\n\n\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError) as excinfo:
+                formats.read_csv(path)
+        assert str(excinfo.value) == f"{path}: no data rows"
 
 
 class TestSvg:

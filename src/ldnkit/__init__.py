@@ -21,14 +21,13 @@ from .bases import (
 from .errors import (
     FormatError,
     GenerationFailedError,
-    IllConditionedError,
     IncompatibleStepError,
     LdnkitError,
     NonUniformSignalError,
     RankDeficientError,
     SingularMatrixError,
 )
-from .linalg import condition_estimate, expm, lu_solve, pinv_rows
+from .linalg import condition_estimate, expm, lu_solve
 from .lti import (
     LtiSystem,
     mk_chebyshev,
@@ -38,17 +37,10 @@ from .lti import (
     to_original_ldn,
     to_scaled_ldn,
 )
-from .poly import (
-    compose_affine,
-    differentiate,
-    eval_poly,
-    hilbert,
-    inner_product,
-)
+from .poly import eval_poly, hilbert
 from .reencode import (
     DelayDecoder,
     ReencoderMatrix,
-    basis_inverse,
     dampen,
     decoder_bank,
     decoder_discrete,
@@ -75,15 +67,14 @@ __version__ = "0.1.0"
 __all__ = [
     "PolyBasis", "ValidityReport", "legendre_values", "make_basis",
     "random_basis", "shifted_chebyshev", "shifted_legendre", "validate",
-    "FormatError", "GenerationFailedError", "IllConditionedError",
-    "IncompatibleStepError", "LdnkitError", "NonUniformSignalError",
-    "RankDeficientError", "SingularMatrixError",
-    "condition_estimate", "expm", "lu_solve", "pinv_rows",
+    "FormatError", "GenerationFailedError", "IncompatibleStepError",
+    "LdnkitError", "NonUniformSignalError", "RankDeficientError",
+    "SingularMatrixError",
+    "condition_estimate", "expm", "lu_solve",
     "LtiSystem", "mk_chebyshev", "mk_ldn", "mk_legendre",
     "mk_poly_basis_lti", "to_original_ldn", "to_scaled_ldn",
-    "compose_affine", "differentiate", "eval_poly",
-    "hilbert", "inner_product",
-    "DelayDecoder", "ReencoderMatrix", "basis_inverse", "dampen",
+    "eval_poly", "hilbert",
+    "DelayDecoder", "ReencoderMatrix", "dampen",
     "decoder_bank", "decoder_discrete", "decoder_hilbert_direct", "delay_reencoder",
     "encoder", "evaluated_decoder", "legendre_decoder",
     "DiscreteSystem", "Signal", "StateTrajectory", "decode_window",

@@ -8,6 +8,7 @@ in [0, theta) (a common zero would extinguish the impulse response there).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,20 +27,27 @@ _RANDOM_BASIS_RETRIES = 100
 
 @dataclass(frozen=True)
 class PolyBasis:
-    """q polynomials over [0, theta], one coefficient array per function.
+    """q polynomials over [0, theta], held as a Legendre mixture.
 
-    Degrees above q - 1 are allowed here (validation and decoders cope);
-    only the generic system solver requires the square coefficient matrix.
+    ``mixture`` is the q x width matrix M with p_n(t) = sum_k M[n, k]
+    l_k(t / theta), where l_k is the k-th shifted Legendre polynomial on
+    [0, 1]; every computation reads M. ``polys`` keeps the monomial
+    coefficients in t exactly as given, one array per function; they are
+    the file and document form.
+
+    Degrees above q - 1 are allowed here (validation and the sampled
+    decoder cope); the system solver and the exact decoders need a square M.
     """
 
     q: int
     theta: float
     polys: tuple
+    mixture: np.ndarray
 
     @property
     def width(self) -> int:
         """Common coefficient length: at least q, more for higher degrees."""
-        return max(self.q, max(p.size for p in self.polys))
+        return self.mixture.shape[1]
 
     def coefficient_matrix(self) -> np.ndarray:
         """q x width matrix with row n holding the coefficients of function n."""
@@ -47,7 +55,8 @@ class PolyBasis:
 
     def values(self, t) -> np.ndarray:
         """Evaluate every basis function; rows index functions."""
-        return poly.eval_rows(self.coefficient_matrix(), np.atleast_1d(t))
+        x = np.atleast_1d(np.asarray(t, dtype=float)) / self.theta
+        return np.tensordot(self.mixture, legendre_values(self.width, x), axes=1)
 
 
 @dataclass(frozen=True)
@@ -62,66 +71,110 @@ class ValidityReport:
         return self.independent and self.no_common_zero
 
 
-def make_basis(polys, theta: float) -> PolyBasis:
-    """Bundle coefficient arrays into a PolyBasis without validating them."""
+def _check_theta(theta: float) -> None:
     if not (np.isfinite(theta) and theta > 0):
         raise ValueError(f"theta must be finite and positive, got {theta}")
+
+
+def make_basis(polys, theta: float) -> PolyBasis:
+    """Bundle monomial coefficient arrays (in t) into a PolyBasis.
+
+    The Legendre mixture is solved once from the coefficients through the
+    triangular shifted-Legendre coefficient matrix. Monomial coefficients
+    of degree n reach ~4^n, so the conversion loses about eps * 4^width.
+    The basis is not validated.
+    """
+    _check_theta(theta)
     coeffs = tuple(poly.as_poly(p) for p in polys)
     if len(coeffs) < 1:
         raise ValueError("a basis needs at least one polynomial")
-    return PolyBasis(q=len(coeffs), theta=float(theta), polys=coeffs)
+    width = max(len(coeffs), max(c.size for c in coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        in_x = poly.pad_coefficients(coeffs, width) * float(theta) ** np.arange(width)
+        # M L = in_x, with L upper triangular once transposed
+        mixture = np.linalg.solve(_monomial_family(width).T, in_x.T).T
+    if not np.all(np.isfinite(mixture)):
+        raise ValueError("basis coefficients overflow in window units t / theta")
+    return PolyBasis(q=len(coeffs), theta=float(theta), polys=coeffs, mixture=mixture)
 
 
-def _normalized_legendre(q: int) -> list[np.ndarray]:
-    """Shifted Legendre coefficients on [0, 1] by the three-term recurrence."""
-    out = [np.array([1.0])]
+def _monomial_family(q: int, chebyshev: bool = False) -> np.ndarray:
+    """q x q monomial coefficients on [0, 1] of a shifted family, row n degree n.
+
+    Both families follow one three-term recurrence in y = 2x - 1:
+    (n+1) P_{n+1} = (2n+1) y P_n - n P_{n-1} (Legendre) and
+    T_{n+1} = 2 y T_n - T_{n-1} (Chebyshev).
+    """
+    out = np.zeros((q, q))
+    out[0, 0] = 1.0
     if q > 1:
-        out.append(np.array([-1.0, 2.0]))
+        out[1, :2] = (-1.0, 2.0)
     for n in range(1, q - 1):
-        # (n+1) P_{n+1}(x) = (2n+1)(2x-1) P_n(x) - n P_{n-1}(x)
-        a, b = out[n], out[n - 1]
-        t = np.zeros(a.size + 1)
-        t[1:] += 2.0 * a
-        t[:-1] -= a
-        t *= 2 * n + 1
-        t[: b.size] -= n * b
-        out.append(t / (n + 1))
-    return out[:q]
+        scale, lag, div = (2.0, 1, 1) if chebyshev else (2 * n + 1, n, n + 1)
+        y = np.zeros(q)
+        y[1:] += 2.0 * out[n, :-1]
+        y -= out[n]
+        out[n + 1] = (scale * y - lag * out[n - 1]) / div
+    return out
 
 
-def _normalized_chebyshev(q: int) -> list[np.ndarray]:
-    """Shifted first-kind Chebyshev coefficients on [0, 1]."""
-    out = [np.array([1.0])]
-    if q > 1:
-        out.append(np.array([-1.0, 2.0]))
+def _chebyshev_mixture(q: int) -> np.ndarray:
+    """The shifted Chebyshev polynomials in shifted Legendre coordinates.
+
+    The recurrence T_{n+1} = 2 y T_n - T_{n-1}, y = 2x - 1, with the product
+    by y taken on Legendre coefficients, y l_k = ((k + 1) l_{k+1} +
+    k l_{k-1}) / (2k + 1), runs in exact fractions. Each row is then rounded
+    onto one binary grid fine enough that sums of its entries are exact in
+    any order, and the rounding residue goes to the leading entry: every
+    row sums to T_n(1) = 1 exactly, so the values at both window ends come
+    out exactly +-1, as the closed-form generator's B says.
+    """
+    from fractions import Fraction
+
+    rows = [[Fraction(int(n == k)) for k in range(q)] for n in range(min(q, 2))]
     for n in range(1, q - 1):
-        # T_{n+1}(x) = 2(2x-1) T_n(x) - T_{n-1}(x)
-        a, b = out[n], out[n - 1]
-        t = np.zeros(a.size + 1)
-        t[1:] += 2.0 * a
-        t[:-1] -= a
-        t *= 2.0
-        t[: b.size] -= b
-        out.append(t)
-    return out[:q]
+        y = [Fraction(0)] * q
+        for k, c in enumerate(rows[n]):
+            if c:
+                y[k + 1] += c * Fraction(k + 1, 2 * k + 1)
+                if k:
+                    y[k - 1] += c * Fraction(k, 2 * k + 1)
+        rows.append([2 * a - b for a, b in zip(y, rows[n - 1])])
+    out = np.empty((q, q))
+    for n, row in enumerate(rows):
+        bits = 52 - math.frexp(float(sum(map(abs, row))))[1]
+        units = [round(c * 2 ** bits) for c in row]
+        units[n] += 2 ** bits - sum(units)
+        out[n] = np.array(units, dtype=float) / 2.0 ** bits
+    return out
 
 
-def _rescale_window(coeffs, theta: float) -> list[np.ndarray]:
+def _rescale_window(coeffs, theta: float) -> tuple:
     """Map polynomials in x = t / theta to polynomials in t."""
     if theta == 1.0:
-        return [c.copy() for c in coeffs]
-    return [c / theta ** np.arange(c.size) for c in coeffs]
+        return tuple(c.copy() for c in coeffs)
+    return tuple(c / theta ** np.arange(c.size) for c in coeffs)
+
+
+def _shifted_family(q: int, theta: float, chebyshev: bool) -> PolyBasis:
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    _check_theta(theta)
+    coeffs = _monomial_family(q, chebyshev)
+    return PolyBasis(
+        q=q, theta=float(theta),
+        polys=_rescale_window([c[: n + 1] for n, c in enumerate(coeffs)], theta),
+        mixture=_chebyshev_mixture(q) if chebyshev else np.eye(q),
+    )
 
 
 def shifted_legendre(q: int, theta: float = 1.0) -> PolyBasis:
     """First q shifted Legendre polynomials evaluated in t / theta.
 
     Orthogonal on [0, theta] with squared norm theta / (2n + 1); value 1 at
-    t = theta and (-1)^n at t = 0.
+    t = theta and (-1)^n at t = 0. Its mixture is the identity.
     """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    return make_basis(_rescale_window(_normalized_legendre(q), theta), theta)
+    return _shifted_family(q, theta, chebyshev=False)
 
 
 def shifted_chebyshev(q: int, theta: float = 1.0) -> PolyBasis:
@@ -130,9 +183,7 @@ def shifted_chebyshev(q: int, theta: float = 1.0) -> PolyBasis:
     Bounded by 1 in magnitude on the window; value 1 at t = theta and
     (-1)^n at t = 0.
     """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    return make_basis(_rescale_window(_normalized_chebyshev(q), theta), theta)
+    return _shifted_family(q, theta, chebyshev=True)
 
 
 def legendre_values(q: int, x) -> np.ndarray:
@@ -157,11 +208,14 @@ def legendre_values(q: int, x) -> np.ndarray:
 def validate(basis: PolyBasis) -> ValidityReport:
     """Check linear independence and the absence of a common zero on [0, theta).
 
-    Independence is judged by nonsingularity of the basis Gram matrix;
-    the common-zero check scans a dense grid (see COMMON_ZERO_GRID).
-    Returns a report rather than raising.
+    Independence is judged by nonsingularity of the basis Gram matrix,
+    M diag(theta / (2n + 1)) M^T from the Legendre mixture M, so its
+    condition number is as accurate as M itself; the common-zero check
+    scans a dense grid (see COMMON_ZERO_GRID). Returns a report rather
+    than raising.
     """
-    gram = poly.gram_matrix(basis.polys, basis.theta)
+    norms = basis.theta / (2.0 * np.arange(basis.width) + 1.0)
+    gram = (basis.mixture * norms) @ basis.mixture.T
     try:
         gram_condition = linalg.condition_estimate(gram)
         independent = True
@@ -191,23 +245,20 @@ def random_basis(q: int, theta: float = 1.0, seed: int = 0) -> PolyBasis:
     """Deterministic random polynomial basis that passes validate().
 
     Each polynomial is an i.i.d. standard normal mixture of the first q
-    shifted Legendre polynomials in normalized time x = t / theta, then
-    rescaled to the window. Drawing mixtures of an orthogonal family keeps
-    the draws numerically independent at orders where raw monomial
-    coefficient draws would degenerate; the result is still stored as
-    plain monomial coefficients. Invalid draws are redrawn from the same
-    stream, up to a bounded number of retries.
+    shifted Legendre polynomials in normalized time x = t / theta. The draw
+    is the basis's mixture as it stands; its monomial coefficients are
+    derived from it for the file form. Invalid draws are redrawn from the
+    same stream, up to a bounded number of retries.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
+    _check_theta(theta)
     rng = np.random.default_rng(seed)
-    legendre = np.vstack(
-        [np.pad(c, (0, q - c.size)) for c in _normalized_legendre(q)]
-    )
+    legendre = _monomial_family(q)
     for _ in range(_RANDOM_BASIS_RETRIES):
         mixture = rng.standard_normal((q, q))
-        coeffs = mixture @ legendre
-        basis = make_basis(_rescale_window(list(coeffs), theta), theta)
+        polys = _rescale_window(mixture @ legendre, theta)
+        basis = PolyBasis(q=q, theta=float(theta), polys=polys, mixture=mixture)
         if validate(basis).ok:
             return basis
     raise GenerationFailedError(

@@ -17,17 +17,6 @@ class RankDeficientError(LdnkitError):
     """A row-rank check failed (Gram matrix of the rows is singular)."""
 
 
-class IllConditionedError(LdnkitError):
-    """A linear solve was refused because its condition number is too large.
-
-    The offending condition number is stored in ``condition``.
-    """
-
-    def __init__(self, message: str, condition: float):
-        super().__init__(f"{message} (condition estimate {condition:.3e})")
-        self.condition = condition
-
-
 class GenerationFailedError(LdnkitError):
     """Random basis generation exhausted its retry budget."""
 

@@ -305,9 +305,12 @@ def _read_csv_by_line(path, handle):
 
 def _uniform_step(path, t: np.ndarray) -> float:
     """Mean spacing of a time column; NonUniformSignalError unless uniform."""
+    if not np.all(np.isfinite(t)):
+        raise NonUniformSignalError(
+            f"{path}: time column has a non-finite value, so its spacing is undefined"
+        )
     steps = np.diff(t)
     dt = float(np.mean(steps))
-    # written as negations so that a NaN time is rejected too
     if not dt > 0:
         raise NonUniformSignalError(f"{path}: time column is not increasing")
     jitter = float(np.max(np.abs(steps - dt)))

@@ -5,13 +5,14 @@ Matrices are plain ``numpy.ndarray`` objects in row-major order; vectors are
 entries, matching shapes) and never mutated, so values are safe to share
 between threads.
 
-Solves go through numpy's LAPACK. What this module adds is one singularity
-rule shared by every solve and condition number: a matrix counts as singular
-when its exact 1-norm condition number reaches 1 / eps, i.e. when it cannot
-be inverted in working precision. Such solves raise SingularMatrixError
-instead of returning rounding noise. Ill-conditioned solves short of that
-limit are part of this library's subject matter; callers that need a
-tighter limit consult condition_estimate.
+Solves go through numpy's LAPACK. What this module adds is the package's one
+singularity rule, shared by every solve and condition number: a matrix
+counts as singular when its exact 1-norm condition number reaches 1 / eps,
+i.e. when it cannot be inverted in working precision. Such solves raise
+SingularMatrixError instead of returning rounding noise; there is no second,
+tighter refusal limit. Callers that solve through numpy directly (the
+Legendre-mixture inverses of lti and reencode) apply the rule first by
+calling condition_estimate, and report the number it returns.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import RankDeficientError, SingularMatrixError
+from .errors import SingularMatrixError
 
 _EPS = np.finfo(float).eps
 
@@ -135,24 +136,6 @@ def expm(a) -> np.ndarray:
     for _ in range(s):
         f = f @ f
     return f
-
-
-def pinv_rows(l) -> np.ndarray:
-    """Right pseudo-inverse L+ = L^T (L L^T)^{-1} of a full-row-rank q x N matrix.
-
-    Only the q x q Gram matrix is ever factored; no N x N object is formed.
-    Raises RankDeficientError when the Gram solve reports singularity.
-    """
-    l = as_matrix(l, "l")
-    q, n = l.shape
-    if n < q:
-        raise ValueError(f"need at least as many columns as rows, got {l.shape}")
-    gram = l @ l.T
-    try:
-        x = lu_solve(gram, l)  # q x N, equals (L L^T)^{-1} L
-    except SingularMatrixError as exc:
-        raise RankDeficientError(f"rows are not linearly independent: {exc}") from exc
-    return x.T
 
 
 def condition_estimate(a) -> float:

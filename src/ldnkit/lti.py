@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, poly
+from . import linalg
 from .bases import PolyBasis, validate
 
 
@@ -88,32 +88,26 @@ def mk_chebyshev(q: int, theta: float = 1.0) -> LtiSystem:
 
 
 def mk_poly_basis_lti(basis: PolyBasis) -> LtiSystem:
-    """Solve for the LTI system generating an arbitrary polynomial basis.
+    """The LTI system generating an arbitrary polynomial basis.
 
-    Row n of A linearly combines the basis polynomials into theta times the
-    derivative of polynomial n; in coefficient space that is one q x q
-    solve per row against the shared transposed coefficient matrix, which
-    is factored once. B holds the basis values at t = 0.
+    With M the basis's Legendre mixture, p = M l, the generator is similar
+    to the Legendre one: A = M A_L M^-1 and B = M B_L = p(0), with A_L, B_L
+    from mk_legendre. The basis must pass validate() and have degrees
+    bounded by q - 1, so that M is square.
 
-    Raises SingularMatrixError for a rank-deficient coefficient matrix
-    (validate() should have caught that first); the condition number of
-    the coefficient matrix is attached to the result.
+    Raises SingularMatrixError for an M singular to working precision; its
+    condition number is attached to the result.
     """
     report = validate(basis)
     if not report.ok:
         raise ValueError(f"basis fails validation: {report}")
-    q = basis.q
-    if basis.width != q:
+    if basis.width != basis.q:
         raise ValueError("the system solver needs polynomial degrees bounded by q - 1")
-    lam = basis.coefficient_matrix()
-    rhs = np.zeros((q, q))
-    for n, p in enumerate(basis.polys):
-        dp = basis.theta * poly.differentiate(p)
-        rhs[n, : dp.size] = dp
-    # lam.T x_n = rhs_n for every row n; stack the right-hand sides as columns
-    a = linalg.lu_solve(lam.T, rhs.T).T
-    cond = linalg.condition_estimate(lam.T)
-    return LtiSystem(a=a, b=lam[:, 0].copy(), theta=basis.theta, condition=cond)
+    m = basis.mixture
+    cond = linalg.condition_estimate(m)
+    legendre = mk_legendre(basis.q)
+    a = m @ legendre.a @ np.linalg.inv(m)
+    return LtiSystem(a=a, b=m @ legendre.b, theta=basis.theta, condition=cond)
 
 
 def _state_scaling(q: int) -> np.ndarray:

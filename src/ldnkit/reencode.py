@@ -6,12 +6,12 @@ state, assuming the window content lies in the span of the basis. Their
 outer product Gamma erases window-old information from the state;
 subtracting it from the feedback matrix dampens the system.
 
-Besides the Legendre closed form, decoder_bank builds decoders for all
-delays at once by three methods. The two coefficient-space methods share the
-same ill-conditioning (the monomial Gram matrix is a scaled Hilbert matrix),
-so they refuse to return noise: past a condition threshold they raise
-instead. The discrete method trades exactness for stability and is the
-practical fallback.
+The shifted Legendre decoders have a closed form d_L(theta'). Any other
+basis p = M l is a Legendre mixture, so its exact decoders are
+d(theta') = M^-T d_L(theta'): decoder_bank builds them for all delays from
+one inverse of M, under linalg's one singularity rule. The sampled
+pseudo-inverse method needs no exact form and trades exactness for a
+sampling bias.
 """
 
 from __future__ import annotations
@@ -20,15 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, poly
+from . import linalg
 from .bases import PolyBasis, legendre_values
-from .errors import IllConditionedError, RankDeficientError, SingularMatrixError
+from .errors import RankDeficientError, SingularMatrixError
 from .lti import LtiSystem
-
-# Coefficient-space decoder solves refuse to proceed past this condition
-# number and raise IllConditionedError carrying the number instead. It lies far
-# below linalg's singularity limit, so solves that pass it skip linalg's check.
-ILL_CONDITIONED_LIMIT = 1e14
 
 # Column-chunk size for the streaming discrete decoder; fixed so that the
 # accumulation order, and therefore the result, is deterministic.
@@ -67,13 +62,28 @@ def _check_delay(theta: float, theta_prime: float) -> None:
 def encoder(sys: LtiSystem, t: float | None = None) -> np.ndarray:
     """Impulse-response value exp((t / theta) A) B at time t.
 
-    Defaults to the window end t = theta, the encoding vector proper.
+    Defaults to the window end t = theta, the encoding vector proper. For a
+    system built from a basis the exact value is the basis itself,
+    basis.values(t); the matrix exponential loses accuracy as A's
+    conditioning grows (random mixtures from q = 12 on).
     """
     if t is None:
         t = sys.theta
     if t < 0:
         raise ValueError("t must be non-negative")
     return linalg.expm((t / sys.theta) * sys.a) @ sys.b
+
+
+def _legendre_duals(q: int, theta: float, theta_primes) -> np.ndarray:
+    """K x q closed-form Legendre decoders, one contiguous row per delay.
+
+    Adding 0.0 turns the -0.0 entries at the roots into +0.0, as a product
+    with M^-T = I gives them, so the Legendre basis's exact decoders equal
+    the closed form bit for bit.
+    """
+    vals = legendre_values(q, np.asarray(theta_primes, dtype=float) / theta)
+    scale = (2.0 * np.arange(q) + 1.0) / theta
+    return np.ascontiguousarray((scale[:, None] * vals).T) + 0.0
 
 
 def legendre_decoder(q: int, theta: float, theta_prime: float) -> DelayDecoder:
@@ -83,65 +93,28 @@ def legendre_decoder(q: int, theta: float, theta_prime: float) -> DelayDecoder:
     at theta_prime / theta, evaluated by the value recurrence.
     """
     _check_delay(theta, theta_prime)
-    vals = legendre_values(q, theta_prime / theta)
-    d = (2.0 * np.arange(q) + 1.0) / theta * vals
     return DelayDecoder(
-        d=d, theta_prime=float(theta_prime), theta=float(theta),
-        method=METHOD_LEGENDRE,
+        d=_legendre_duals(q, theta, [theta_prime])[0], theta_prime=float(theta_prime),
+        theta=float(theta), method=METHOD_LEGENDRE,
     )
-
-
-def _refuse_if_ill_conditioned(matrix: np.ndarray, what: str) -> float:
-    cond = linalg.condition_estimate(matrix)
-    if cond > ILL_CONDITIONED_LIMIT:
-        raise IllConditionedError(f"{what} is numerically unusable", cond)
-    return cond
-
-
-def _dual_coefficients(basis: PolyBasis) -> tuple[np.ndarray, float]:
-    """Dual-basis coefficient rows and the condition number of their solve.
-
-    Solving Lam Q P^T = I gives every dual in one factorization; row j of
-    the returned matrix holds the coefficients of dual j.
-    """
-    q = basis.q
-    if basis.width != q:
-        raise ValueError("basis inversion needs degrees bounded by q - 1")
-    system = basis.coefficient_matrix() @ poly.hilbert(q, basis.theta)
-    cond = _refuse_if_ill_conditioned(system, "basis inversion")
-    return np.linalg.solve(system, np.eye(q)).T, cond
-
-
-def basis_inverse(basis: PolyBasis) -> tuple[np.ndarray, ...]:
-    """Dual polynomials: coefficient arrays with <p_i, dual_j> = delta_ij.
-
-    Evaluating the dual family at a point theta' yields the delay decoder
-    d(theta') for that delay (see evaluated_decoder).
-    """
-    duals, _ = _dual_coefficients(basis)
-    return tuple(row.copy() for row in duals)
 
 
 def decoder_bank(basis: PolyBasis, theta_primes, method: str,
                  n_samples: int = 100_000) -> list[DelayDecoder]:
     """Delay decoders of one basis-space method for every theta' at once.
 
-    Each method builds one theta'-independent matrix, takes one condition
-    number of it and does one multi-column solve:
-
-    - hilbert-direct solves P Q Lam^T d = (the basis at theta - theta'),
-      where P holds the coefficients of the window-reflected polynomials,
-      Q is the monomial Gram matrix and Lam the basis coefficients.
-    - basis-inverse evaluates the dual basis (see basis_inverse) at theta'.
+    - hilbert-direct and basis-inverse are one exact method under two names:
+      d(theta') = M^-T d_L(theta') for the basis's Legendre mixture M, from
+      one condition number and one inverse of M, then one product per
+      delay, so a bank equals its per-delay views bit for bit. M must be
+      square (degrees below q); its condition number is attached to each
+      decoder, and SingularMatrixError is raised past linalg's limit.
     - discrete-pinv takes row floor((N-1) theta' / theta) + 1 of the right
       pseudo-inverse of the q x N sample matrix, scaled by N / theta, from
       one solve with its Gram matrix, accumulated over fixed-size column
       chunks (O(qN) time, O(q^2) space). Useful accuracy needs N = n_samples
-      well past q; results sharpen roughly linearly in N.
-
-    The coefficient-space methods raise IllConditionedError past
-    ILL_CONDITIONED_LIMIT and attach the condition number to each decoder;
-    discrete-pinv raises RankDeficientError for a rank-deficient sampling.
+      well past q; results sharpen roughly linearly in N. It raises
+      RankDeficientError for a rank-deficient sampling.
     """
     if method not in (METHOD_HILBERT, METHOD_BASIS_INVERSE, METHOD_DISCRETE):
         raise ValueError(f"unknown basis-space decoder method {method!r}")
@@ -152,32 +125,28 @@ def decoder_bank(basis: PolyBasis, theta_primes, method: str,
     for tp in theta_primes:
         _check_delay(theta, tp)
     cond = None
-    if method == METHOD_BASIS_INVERSE:
-        duals, cond = _dual_coefficients(basis)
-        d = poly.eval_rows(duals, theta_primes)
-    elif method == METHOD_HILBERT:
-        lam = basis.coefficient_matrix()
-        reflected = np.vstack([poly.compose_affine(p, -1.0, theta) for p in lam])
-        system = reflected @ poly.hilbert(basis.width, theta) @ lam.T
-        cond = _refuse_if_ill_conditioned(system, "decoder system")
-        d = np.linalg.solve(system, poly.eval_rows(lam, theta - theta_primes))
+    if method != METHOD_DISCRETE:
+        if basis.width != q:
+            raise ValueError("exact decoders need polynomial degrees bounded by q - 1")
+        cond = linalg.condition_estimate(basis.mixture)
+        duals = np.linalg.inv(basis.mixture).T
+        d = [duals @ row for row in _legendre_duals(q, theta, theta_primes)]
     else:
-        lam = basis.coefficient_matrix()
         step = theta / (n_samples - 1)
         gram = np.zeros((q, q))
         for start in range(0, n_samples, _CHUNK):
             idx = np.arange(start, min(start + _CHUNK, n_samples), dtype=float)
-            vals = poly.eval_rows(lam, idx * step)
+            vals = basis.values(idx * step)
             gram += vals @ vals.T
-        cols = poly.eval_rows(lam, np.floor((n_samples - 1) * theta_primes / theta) * step)
+        cols = basis.values(np.floor((n_samples - 1) * theta_primes / theta) * step)
         try:
-            d = (n_samples / theta) * linalg.lu_solve(gram, cols)
+            d = ((n_samples / theta) * linalg.lu_solve(gram, cols)).T
         except SingularMatrixError as exc:
             raise RankDeficientError(f"sampled basis is rank deficient: {exc}") from exc
     return [
-        DelayDecoder(d=col.copy(), theta_prime=float(tp), theta=theta,
+        DelayDecoder(d=row.copy(), theta_prime=float(tp), theta=theta,
                      method=method, condition=cond)
-        for tp, col in zip(theta_primes, d.T)
+        for tp, row in zip(theta_primes, d)
     ]
 
 

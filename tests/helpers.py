@@ -1,27 +1,14 @@
 """Shared oracle utilities for the test suite.
 
 Everything here is intentionally independent of the library code paths it
-checks: quadrature, finite differences, exact combinatorial inverses, and
+checks: quadrature, exact fractions, exact combinatorial inverses, and
 reference constructions via numpy building blocks.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
-
-
-def simpson(f, a, b, n=2000):
-    """Composite Simpson quadrature with n (even) intervals."""
-    if n % 2:
-        n += 1
-    xs = np.linspace(a, b, n + 1)
-    ys = f(xs)
-    h = (b - a) / n
-    return h / 3 * (ys[0] + ys[-1] + 4 * np.sum(ys[1:-1:2]) + 2 * np.sum(ys[2:-1:2]))
-
-
-def central_difference(f, t, h=1e-5):
-    return (f(t + h) - f(t - h)) / (2 * h)
 
 
 def hilbert_inverse_exact(n):
@@ -86,6 +73,64 @@ def perfect_window_direct_sum(taps, u):
     for j in range(taps.shape[1]):
         out[1:, j] = np.convolve(u, taps[:, j])[: u.size]
     return out
+
+
+def gauss_legendre_gram(polys, theta):
+    """Inner products over [0, theta] of monomial coefficient arrays.
+
+    Gauss-Legendre quadrature with as many nodes as the longest array,
+    exact for the products of these degrees; the polynomials are evaluated
+    by numpy's Horner routine.
+    """
+    n = max(len(p) for p in polys)
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    t = 0.5 * theta * (nodes + 1.0)
+    vals = np.array([np.polynomial.polynomial.polyval(t, p) for p in polys])
+    return (vals * (0.5 * theta * weights)) @ vals.T
+
+
+def shifted_legendre_exact(q):
+    """q x q exact monomial coefficients (Fractions) of the shifted Legendre
+    polynomials on [0, 1]: (-1)^(n+k) C(n, k) C(n+k, k)."""
+    return [[Fraction((-1) ** (n + k) * math.comb(n, k) * math.comb(n + k, k))
+             for k in range(q)] for n in range(q)]
+
+
+def _solve_exact(matrix, rhs):
+    """Gauss-Jordan elimination over Fractions; rhs is a list of columns."""
+    n = len(matrix)
+    aug = [list(matrix[r]) + [col[r] for col in rhs] for r in range(n)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [v * inv for v in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+    return [[aug[r][n + k] for r in range(n)] for k in range(len(rhs))]
+
+
+def exact_decoders(coeffs, theta, theta_primes):
+    """K x q delay decoders d(theta') = G^-1 p(theta'), rounded once.
+
+    ``coeffs`` holds one monomial coefficient row (in t) per basis function,
+    as floats or Fractions. G is their Gram matrix over [0, theta] through
+    the exact monomial Gram matrix theta^(k+l+1) / (k+l+1), and p(theta')
+    the basis values; both are formed and solved in exact fractions.
+    """
+    rows = [[Fraction(c) for c in row] for row in coeffs]
+    width = len(rows[0])
+    th = Fraction(theta)
+    mono = [[th ** (k + l + 1) / (k + l + 1) for l in range(width)] for k in range(width)]
+    half = [[sum(r[k] * mono[k][l] for k in range(width)) for l in range(width)]
+            for r in rows]
+    gram = [[sum(h[l] * s[l] for l in range(width)) for s in rows] for h in half]
+    rhs = [[sum(c * Fraction(tp) ** k for k, c in enumerate(r)) for r in rows]
+           for tp in theta_primes]
+    solved = _solve_exact(gram, rhs)
+    return np.array([[float(v) for v in col] for col in solved])
 
 
 def csv_text(header, rows):

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from helpers import legendre_value_recurrence
-from ldnkit import bases, poly
+from helpers import gauss_legendre_gram, legendre_value_recurrence, shifted_legendre_exact
+from ldnkit import bases
 from ldnkit.errors import GenerationFailedError
 
 EPS = np.finfo(float).eps
@@ -25,22 +27,17 @@ class TestShiftedLegendre:
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
     def test_orthogonality(self, theta):
-        # target inner products are theta * delta_nm / (2m + 1); the
-        # tolerance floor grows with the rounding bound of the coefficient
-        # contraction, which overtakes 1e-10 past q ~ 9 (monomial
-        # coefficients reach ~4^q, so the cancellation floor is unavoidable
-        # in double precision)
+        # target inner products are theta * delta_nm / (2m + 1), by exact
+        # Gauss-Legendre quadrature of the monomial coefficients; the
+        # tolerance floor grows with the rounding bound of evaluating them,
+        # which overtakes 1e-10 past q ~ 9 (monomial coefficients reach
+        # ~4^q, so the cancellation floor is unavoidable in double precision)
         q = 12
         b = bases.shifted_legendre(q, theta)
-        for n in range(q):
-            for m in range(q):
-                got = poly.inner_product(b.polys[n], b.polys[m], theta)
-                want = theta / (2 * m + 1) if n == m else 0.0
-                size = max(b.polys[n].size, b.polys[m].size)
-                pn = np.abs(np.pad(b.polys[n], (0, size - b.polys[n].size)))
-                pm = np.abs(np.pad(b.polys[m], (0, size - b.polys[m].size)))
-                bound = 32 * EPS * float(pn @ poly.hilbert(size, theta) @ pm)
-                assert abs(got - want) <= max(1e-10, bound)
+        got = gauss_legendre_gram(b.polys, theta)
+        want = np.diag(theta / (2 * np.arange(q) + 1.0))
+        bound = 32 * EPS * gauss_legendre_gram([np.abs(p) for p in b.polys], theta)
+        assert np.all(np.abs(got - want) <= np.maximum(1e-10, bound))
 
     def test_parity(self):
         theta = 1.5
@@ -82,6 +79,20 @@ class TestMakeBasis:
     def test_non_finite_theta(self, theta):
         with pytest.raises(ValueError, match="theta must be finite and positive"):
             bases.make_basis([[1.0], [-1.0, 2.0]], theta)
+
+
+    def test_mixture_of_monomials(self):
+        # t^k = theta^k x^k and x^k = sum_n (2n+1) k!^2 / ((k-n)! (k+n+1)!) l_n(x)
+        q, theta = 8, 2.0
+        basis = bases.make_basis([np.eye(q)[k] for k in range(q)], theta)
+        f = math.factorial
+        want = np.array([[theta ** k * (2 * n + 1) * f(k) ** 2 / (f(k - n) * f(k + n + 1))
+                          if n <= k else 0.0 for n in range(q)] for k in range(q)])
+        assert np.max(np.abs(basis.mixture - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_overflow_in_window_units(self):
+        with pytest.raises(ValueError, match="overflow"):
+            bases.make_basis([[1.0], [0.0, 0.0, 1e300]], 1e10)
 
 
 class TestValidate:
@@ -128,6 +139,32 @@ class TestRandomBasis:
         # same draw expressed in t / theta
         grid = np.linspace(0.0, 1.0, 17)
         assert np.allclose(unit.values(grid), wide.values(2.0 * grid), atol=1e-12)
+
+    @pytest.mark.parametrize("q", [1, 2, 6, 12, 16, 20])
+    def test_first_draw_kept(self, q):
+        # the mixture is the first standard normal draw of the seed, and
+        # the monomial coefficients are that mixture times the Legendre ones
+        legendre = np.array([[float(c) for c in row] for row in shifted_legendre_exact(q)])
+        for seed in range(5):
+            basis = bases.random_basis(q, 1.0, seed=seed)
+            draw = np.random.default_rng(seed).standard_normal((q, q))
+            assert np.array_equal(basis.mixture, draw)
+            assert all(np.array_equal(p, row) for p, row in zip(basis.polys, draw @ legendre))
+
+    @pytest.mark.parametrize("make", [
+        lambda: bases.random_basis(8, 2.0, seed=4),
+        lambda: bases.shifted_chebyshev(8, 2.0),
+        lambda: bases.make_basis([[0.5, -1.0, 3.0], [1.0, 0.25], [2.0]], 2.0),
+    ])
+    def test_mixture_matches_coefficients(self, make):
+        # values read off the Legendre mixture against Horner on the file
+        # form, within Horner's rounding bound on these coefficients
+        basis = make()
+        grid = np.linspace(0.0, basis.theta, 41)
+        horner = np.polynomial.polynomial.polyval
+        ref = np.array([horner(grid, p) for p in basis.polys])
+        bound = 4 * basis.q * EPS * np.array([horner(grid, np.abs(p)) for p in basis.polys])
+        assert np.all(np.abs(basis.values(grid) - ref) <= bound)
 
     def test_retry_budget_exhausted(self, monkeypatch):
         always_bad = bases.ValidityReport(

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import exact_decoders
+
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
@@ -199,6 +201,15 @@ class TestSlide:
                          "-o", str(tmp_path / "x.csv"))
         assert result.returncode == 4, result.stderr
 
+    def test_inf_time_exits_4(self, workdir, tmp_path):
+        sig = tmp_path / "inf.csv"
+        sig.write_text("t,u\n0.0,1.0\n0.001,0.0\ninf,0.0\n", encoding="utf-8")
+        result = run_cli("slide", str(workdir / "ldn.json"), "--signal", str(sig),
+                         "-o", str(tmp_path / "x.csv"))
+        assert result.returncode == 4, result.stderr
+        assert "spacing" in result.stderr
+        assert "Warning" not in result.stderr
+
     def test_incompatible_step_exits_4(self, workdir, tmp_path):
         sig = tmp_path / "odd.csv"
         with open(sig, "w", newline="\n") as f:
@@ -282,6 +293,21 @@ class TestDecode:
         result = run_cli("decode", str(workdir / "ldn.json"), "--trajectory", str(traj),
                          "-o", str(out))
         assert result.returncode == 4, result.stderr
+        assert not out.exists()
+
+    def test_inf_time_exits_4(self, workdir, tmp_path):
+        traj = tmp_path / "inf.csv"
+        traj.write_text(
+            "t," + ",".join(f"m_{n}" for n in range(6)) + "\n"
+            + "".join(t + ",0.0" * 6 + "\n" for t in ("0.0", "0.001", "inf")),
+            encoding="utf-8",
+        )
+        out = tmp_path / "x.csv"
+        result = run_cli("decode", str(workdir / "ldn.json"), "--trajectory", str(traj),
+                         "-o", str(out))
+        assert result.returncode == 4, result.stderr
+        assert "spacing" in result.stderr
+        assert "Warning" not in result.stderr
         assert not out.exists()
 
     def test_wrong_q_trajectory_exits_2(self, workdir, tmp_path):
@@ -389,8 +415,9 @@ class TestReencode:
         assert "theta must be finite and positive" in result.stderr
         assert "RuntimeWarning" not in result.stderr
 
-    def test_ill_conditioned_exits_3(self, tmp_path):
-        # plain monomial basis at q = 11 rides the raw Hilbert matrix
+    def test_monomials_q11_exits_0(self, tmp_path):
+        # plain monomials at q = 11: the monomial Gram matrix has condition
+        # 1e15, their Legendre mixture 1.0e7, so the decoder is exact
         basis_file = tmp_path / "monomials.json"
         polys = [[0.0] * k + [1.0] for k in range(11)]
         basis_file.write_text(json.dumps({"theta": 1.0, "polys": polys}),
@@ -399,10 +426,58 @@ class TestReencode:
         result = run_cli("gen", "--kind", "custom", "--basis", str(basis_file),
                          "--q", "11", "-o", str(sys_file))
         assert result.returncode == 0, result.stderr
+        out = tmp_path / "re.json"
         result = run_cli("reencode", str(sys_file), "--method", "hilbert-direct",
-                         "-o", str(tmp_path / "re.json"))
-        assert result.returncode == 3
-        assert "condition estimate" in result.stderr
+                         "-o", str(out))
+        assert result.returncode == 0, result.stderr
+        block = json.loads(out.read_text())
+        ref = exact_decoders(np.eye(11), 1.0, [1.0])[0]
+        assert np.max(np.abs(np.array(block["d"]) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # e = p(theta) = 1, up to the rounding of the monomials' conversion
+        assert np.max(np.abs(np.array(block["e"]) - 1.0)) <= 1e-12
+        assert 1e6 < block["metadata"]["decoder_condition"] < 1e8
+
+    @pytest.mark.parametrize("method", ["hilbert-direct", "basis-inverse"])
+    @pytest.mark.parametrize("q", [12, 16])
+    def test_exact_methods_keep_ldn_identity(self, tmp_path, q, method):
+        sys_file = tmp_path / "leg.json"
+        result = run_cli("gen", "--kind", "legendre", "--q", str(q), "-o", str(sys_file))
+        assert result.returncode == 0, result.stderr
+        out = tmp_path / "re.json"
+        result = run_cli("reencode", str(sys_file), "--method", method, "-o", str(out))
+        assert result.returncode == 0, result.stderr
+        block = json.loads(out.read_text())
+        assert block["metadata"]["ldn_identity_max_abs_error"] == 0
+        assert block["metadata"]["decoder_condition"] == 1
+
+    @pytest.mark.parametrize("method", ["hilbert-direct", "basis-inverse"])
+    @pytest.mark.parametrize("q", [6, 12, 16])
+    def test_dampened_custom_is_similar_to_ldn(self, tmp_path, q, method):
+        # a basis p = M l dampens to M A_ldn M^-1; an expm encoder in place
+        # of p(theta) leaves the q = 16 system unstable
+        from ldnkit import bases
+
+        basis = bases.random_basis(q, 1.0, seed=q)
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text(json.dumps(
+            {"theta": 1.0, "polys": [p.tolist() for p in basis.polys]}), encoding="utf-8")
+        sys_file = tmp_path / "sys.json"
+        result = run_cli("gen", "--kind", "custom", "--basis", str(basis_file),
+                         "-o", str(sys_file))
+        assert result.returncode == 0, result.stderr
+        out = tmp_path / "re.json"
+        result = run_cli("reencode", str(sys_file), "--method", method, "-o", str(out))
+        assert result.returncode == 0, result.stderr
+        a_damp = np.array(json.loads(out.read_text())["a_dampened"])
+        # the mixture the program converts the file's coefficients into
+        m = bases.make_basis(basis.polys, 1.0).mixture
+        i = np.arange(1, q + 1)[:, None]
+        j = np.arange(1, q + 1)[None, :]
+        a_ldn = (2 * j - 1) * np.where((i > j) & ((i + j) % 2 == 1), 1.0, -1.0)
+        eps = np.finfo(float).eps
+        bound = q * np.linalg.cond(m, 1) * eps * np.linalg.norm(a_ldn, 1)
+        assert np.max(np.abs(np.linalg.solve(m, a_damp @ m) - a_ldn)) <= bound
+        assert np.max(np.linalg.eigvals(a_damp).real) < 0
 
 
 class TestPlot:

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import hilbert_inverse_exact, one_norm, random_conditioned
 from ldnkit import linalg
-from ldnkit.errors import RankDeficientError, SingularMatrixError
+from ldnkit.errors import SingularMatrixError
 
 
 class TestLuSolve:
@@ -51,7 +51,6 @@ class TestLuSolve:
 
     def test_empty_system(self):
         assert linalg.lu_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
-        assert linalg.pinv_rows(np.zeros((0, 3))).shape == (3, 0)
 
     def test_rejects_non_finite(self):
         a = np.array([[1.0, np.nan], [0.0, 1.0]])
@@ -111,41 +110,6 @@ class TestExpm:
             rhs = linalg.expm(s * a) @ linalg.expm(t * a)
             scale = max(1.0, np.max(np.abs(lhs)))
             assert np.max(np.abs(lhs - rhs)) / scale < 1e-9
-
-
-class TestPinvRows:
-    def test_identity(self):
-        assert np.allclose(linalg.pinv_rows(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_orthonormal_rows(self):
-        l = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        expected = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(linalg.pinv_rows(l), expected, atol=1e-14)
-
-    def test_right_inverse_4x100(self):
-        rng = np.random.default_rng(3)
-        l = rng.standard_normal((4, 100))
-        plus = linalg.pinv_rows(l)
-        assert np.max(np.abs(l @ plus - np.eye(4))) < 1e-9
-
-    def test_right_inverse_property(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            q = int(rng.integers(1, 17))
-            n = int(rng.integers(q, 10001))
-            l = rng.standard_normal((q, n))
-            plus = linalg.pinv_rows(l)
-            assert plus.shape == (n, q)
-            assert np.max(np.abs(l @ plus - np.eye(q))) < 1e-8
-
-    def test_rank_deficient(self):
-        l = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
-        with pytest.raises(RankDeficientError):
-            linalg.pinv_rows(l)
-
-    def test_requires_wide(self):
-        with pytest.raises(ValueError):
-            linalg.pinv_rows(np.ones((3, 2)))
 
 
 class TestConditionEstimate:

@@ -1,9 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from helpers import legendre_value_recurrence
-from ldnkit import bases, linalg, lti, poly, reencode
-from ldnkit.errors import IllConditionedError, RankDeficientError
+from helpers import (
+    exact_decoders,
+    legendre_value_recurrence,
+    shifted_legendre_exact,
+)
+from ldnkit import bases, linalg, lti, reencode
+from ldnkit.errors import RankDeficientError, SingularMatrixError
 
 
 def unit_basis(theta=1.0):
@@ -77,41 +83,45 @@ class TestHilbertDirect:
         d = reencode.decoder_hilbert_direct(unit_basis(theta=2.0), 1.0)
         assert np.max(np.abs(d.d - [0.5])) < 1e-14
 
-    def test_ill_conditioned_raises(self):
-        # plain monomials ride the raw Hilbert matrix, unusable by q = 11
-        monomials = bases.make_basis([np.eye(11)[k] for k in range(11)], 1.0)
-        with pytest.raises(IllConditionedError) as info:
-            reencode.decoder_hilbert_direct(monomials, 0.5)
-        assert info.value.condition > 1e14
+    def test_monomials_q11_match_fraction_oracle(self):
+        # the monomial Gram matrix is a Hilbert matrix, cond 1e15 at q = 11;
+        # the Legendre mixture of the monomials has cond_1 1.0e7
+        d = reencode.decoder_hilbert_direct(monomials(11), 0.5)
+        ref = exact_decoders(np.eye(11), 1.0, [0.5])[0]
+        assert np.max(np.abs(d.d - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert 1e6 < d.condition < 1e8
 
 
 class TestBasisInverse:
     def test_unit_basis(self):
-        duals = reencode.basis_inverse(unit_basis())
-        assert np.max(np.abs(duals[0] - [1.0])) < 1e-14
+        # the dual of the constant 1 on [0, 1] is the constant 1
+        for tp in (0.0, 0.3, 1.0):
+            assert np.array_equal(reencode.evaluated_decoder(unit_basis(), tp).d, [1.0])
 
     def test_legendre_duals_are_rescaled_legendre(self):
-        theta = 1.0
+        # dual m is (2m + 1) / theta times Legendre polynomial m
+        theta = 2.0
         basis = bases.shifted_legendre(8, theta)
-        duals = reencode.basis_inverse(basis)
-        for m, dual in enumerate(duals):
-            want = (2 * m + 1) / theta * np.pad(
-                basis.polys[m], (0, 8 - basis.polys[m].size)
-            )
-            scale = max(1.0, np.max(np.abs(want)))
-            assert np.max(np.abs(dual - want)) / scale < 1e-6
+        for tp in np.linspace(0.0, theta, 9):
+            want = (2 * np.arange(8) + 1) / theta * legendre_value_recurrence(8, tp / theta)
+            got = reencode.evaluated_decoder(basis, tp).d
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_biorthogonality(self):
-        # the residual floor past q = 8 is set by cancellation when the
-        # inner products are recomputed from coefficients (~4^q magnitudes),
-        # not by the solve itself
-        for q, tol in ((4, 1e-7), (8, 1e-7), (10, 1e-4)):
-            basis = bases.shifted_legendre(q, 1.0)
-            duals = reencode.basis_inverse(basis)
-            for i in range(q):
-                for j in range(q):
-                    got = poly.inner_product(basis.polys[i], duals[j], 1.0)
-                    assert abs(got - (1.0 if i == j else 0.0)) < tol
+        # <p_i, d_j> = delta_ij with the dual d_j(t) read off the decoders at
+        # Gauss-Legendre nodes (exact for these degrees); the basis is
+        # evaluated from its monomial coefficients, whose ~4^q magnitudes
+        # set the residual floor past q = 8
+        for family in (bases.shifted_legendre, bases.shifted_chebyshev):
+            for q, tol in ((4, 1e-12), (8, 1e-10), (10, 1e-9)):
+                basis = family(q, 1.0)
+                nodes, weights = np.polynomial.legendre.leggauss(q)
+                t = 0.5 * (nodes + 1.0)
+                duals = np.array([d.d for d in reencode.decoder_bank(
+                    basis, t, reencode.METHOD_BASIS_INVERSE)])
+                vals = np.array([np.polynomial.polynomial.polyval(t, p) for p in basis.polys])
+                got = (vals * (0.5 * weights)) @ duals
+                assert np.max(np.abs(got - np.eye(q))) < tol
 
     def test_evaluated_decoder_matches_direct(self):
         for q in (1, 4, 8):
@@ -165,6 +175,9 @@ class TestDiscreteDecoder:
 
 BANK_METHODS = (reencode.METHOD_HILBERT, reencode.METHOD_BASIS_INVERSE,
                 reencode.METHOD_DISCRETE)
+
+
+EXACT_METHODS = (reencode.METHOD_HILBERT, reencode.METHOD_BASIS_INVERSE)
 
 
 def monomials(q):
@@ -234,12 +247,56 @@ class TestDecoderBank:
             reencode.decoder_bank(bases.shifted_legendre(4, 1.0), [0.5],
                                   reencode.METHOD_LEGENDRE)
 
-    @pytest.mark.parametrize("method", [reencode.METHOD_HILBERT,
-                                        reencode.METHOD_BASIS_INVERSE])
-    def test_ill_conditioned_raises(self, method):
-        with pytest.raises(IllConditionedError) as info:
-            reencode.decoder_bank(monomials(11), [0.0, 0.5, 1.0], method)
-        assert info.value.condition > reencode.ILL_CONDITIONED_LIMIT
+    @pytest.mark.parametrize("method", EXACT_METHODS)
+    def test_monomials_q11_match_fraction_oracle(self, method):
+        # the monomial Gram matrix has condition 1e15 here, the Legendre
+        # mixture of the monomials 1.0e7
+        tps = [0.0, 0.25, 0.5, 1.0]
+        bank = reencode.decoder_bank(monomials(11), tps, method)
+        got = np.array([dec.d for dec in bank])
+        ref = exact_decoders(np.eye(11), 1.0, tps)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("method", EXACT_METHODS)
+    @pytest.mark.parametrize("q", [12, 16])
+    @pytest.mark.parametrize("family", ["chebyshev", "random"])
+    def test_match_fraction_oracle(self, method, q, family):
+        tps = np.arange(11) / 10
+        if family == "chebyshev":
+            basis = bases.shifted_chebyshev(q, 1.0)
+            coeffs = basis.coefficient_matrix()
+        else:
+            # the oracle takes the exact polynomials of the drawn mixture
+            basis = bases.random_basis(q, 1.0, seed=0)
+            legendre = shifted_legendre_exact(q)
+            coeffs = [[sum(Fraction(float(m)) * row[k] for m, row in zip(mix, legendre))
+                       for k in range(q)] for mix in basis.mixture]
+        got = np.array([dec.d for dec in reencode.decoder_bank(basis, tps, method)])
+        ref = exact_decoders(coeffs, 1.0, tps)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("method", EXACT_METHODS)
+    def test_legendre_equals_closed_form(self, method):
+        for q in range(1, 33):
+            for theta in (0.5, 1.0, 2.0):
+                tps = theta * np.arange(11) / 10
+                bank = reencode.decoder_bank(bases.shifted_legendre(q, theta), tps, method)
+                for dec, tp in zip(bank, tps):
+                    ref = reencode.legendre_decoder(q, theta, tp).d
+                    assert dec.d.tobytes() == ref.tobytes()
+                    assert dec.condition == 1.0
+
+    @pytest.mark.parametrize("method", EXACT_METHODS)
+    def test_rejects_degree_above_q(self, method):
+        basis = bases.make_basis([[0.0, 1.0], [0.0, 0.0, 1.0]], 1.0)
+        with pytest.raises(ValueError, match="degrees bounded by q - 1"):
+            reencode.decoder_bank(basis, [0.5], method)
+
+    @pytest.mark.parametrize("method", EXACT_METHODS)
+    def test_singular_mixture_raises(self, method):
+        dependent = bases.make_basis([[1.0, 2.0], [2.0, 4.0]], 1.0)
+        with pytest.raises(SingularMatrixError):
+            reencode.decoder_bank(dependent, [0.5], method)
 
     def test_rank_deficient_raises(self):
         dependent = bases.make_basis([[1.0, 2.0], [2.0, 4.0]], 1.0)

@@ -1,0 +1,37 @@
+"""Checks on the documentation and the import footprint of the package."""
+
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=ROOT)
+
+
+def test_readme_library_example_runs():
+    # a fresh interpreter with every warning an error, so the example
+    # cannot call a deleted name or lean on a deprecated one
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    result = run_python("-W", "error", "-c", code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_footprint():
+    # the CLI's start-up time: neither numpy.polynomial nor multiprocessing
+    # may load on import
+    probe = ("import sys, ldnkit.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'multiprocessing' or m.startswith('numpy.polynomial')))")
+    result = run_python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -124,12 +124,11 @@ def _cmd_impulse(args) -> int:
 
 def _cmd_slide(args) -> int:
     doc = formats.read_system_document(args.system)
-    system = doc.to_system()
     t0, signal = formats.read_signal_csv(args.signal)
     if args.perfect_window:
-        traj = sim.perfect_window_transform(system, signal)
+        traj = sim.perfect_window_transform(_basis_for_document(doc), signal)
     else:
-        traj = sim.sliding_transform(sim.discretize(system, signal.dt), signal)
+        traj = sim.sliding_transform(sim.discretize(doc.to_system(), signal.dt), signal)
     formats.write_trajectory_csv(args.out, traj, t0=t0)
     return EXIT_OK
 
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode.add_argument(
         "--perfect-window", action="store_true",
-        help="erase window-old input through an exact delay line",
+        help="exact FIR window transform: the basis cut off at theta",
     )
     p.add_argument("-o", "--out", required=True, help="output trajectory CSV")
     p.set_defaults(func=_cmd_slide)

@@ -309,8 +309,11 @@ def _uniform_step(path, t: np.ndarray) -> float:
         raise NonUniformSignalError(
             f"{path}: time column has a non-finite value, so its spacing is undefined"
         )
-    steps = np.diff(t)
-    dt = float(np.mean(steps))
+    with np.errstate(over="ignore"):
+        steps = np.diff(t)
+        dt = float(np.mean(steps))
+    if not np.isfinite(dt):
+        raise NonUniformSignalError(f"{path}: time column spacing overflows")
     if not dt > 0:
         raise NonUniformSignalError(f"{path}: time column is not increasing")
     jitter = float(np.max(np.abs(steps - dt)))

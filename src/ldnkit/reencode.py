@@ -64,7 +64,8 @@ def encoder(sys: LtiSystem, t: float | None = None) -> np.ndarray:
 
     Defaults to the window end t = theta, the encoding vector proper. For a
     system built from a basis the exact value is the basis itself,
-    basis.values(t); the matrix exponential loses accuracy as A's
+    basis.values(t), which the CLI reads instead; no library path calls
+    this function. The matrix exponential loses accuracy as A's
     conditioning grows (random mixtures from q = 12 on).
     """
     if t is None:

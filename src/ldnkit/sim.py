@@ -7,14 +7,14 @@ discretization; forward Euler is kept as a documented fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
+from .bases import PolyBasis, legendre_values
 from .errors import IncompatibleStepError
 from .lti import LtiSystem
-from .reencode import encoder
 
 # Sample period used for figure-style outputs when none is given.
 DEFAULT_STEPS_PER_WINDOW = 1000
@@ -87,19 +87,12 @@ def discretize(sys: LtiSystem, dt: float, method: str = "zoh") -> DiscreteSystem
     return DiscreteSystem(ad=ad, bd=bd, dt=float(dt), theta=sys.theta)
 
 
-def _recur(ad, m0, n_steps, bd=None, u=None, ed=None, delay=0) -> np.ndarray:
-    """States m[0] = m0, m[k+1] = ad m[k] + bd u[k] - ed u[k - delay].
-
-    The input terms drop out without u, the erasure term without ed and
-    while k < delay. Erasure is a separate subtraction: pre-summing the two
-    drive terms changes the perfect window's states.
-    """
+def _recur(ad, m0, n_steps, bd=None, u=None) -> np.ndarray:
+    """States m[0] = m0, m[k+1] = ad m[k] + bd u[k]; the input term drops out without u."""
     states = np.empty((n_steps + 1, m0.size))
     states[0] = m = m0
     for k in range(n_steps):
         m = ad @ m if u is None else ad @ m + bd * u[k]
-        if ed is not None and k >= delay:
-            m = m - ed * u[k - delay]
         states[k + 1] = m
     return states
 
@@ -135,28 +128,36 @@ def sliding_transform(dsys: DiscreteSystem, u: Signal) -> StateTrajectory:
     return StateTrajectory(states=states, dt=dsys.dt)
 
 
-def perfect_window_transform(sys: LtiSystem, u: Signal) -> StateTrajectory:
-    """Sliding transform with exact erasure through a theta-long delay line.
+def perfect_window_transform(basis: PolyBasis, u: Signal) -> StateTrajectory:
+    """Sliding transform over exactly the last theta of input: an FIR filter.
 
-    Simulates dm/dt = (A/theta) m + (B/theta) u(t) - (e(theta)/theta)
-    u(t - theta): the delayed input is subtracted re-encoded through the
-    window-end impulse response, so the impulse response is cut off at the
-    window edge instead of evolving past it. e(theta) is discretized with
-    the same augmented matrix exponential as the propagator, keeping the
-    cancellation at the window edge exact to roundoff.
+    The zero-order-hold window transform m[n] = sum_{i < min(D, n)} H[i]
+    u[n - 1 - i], D = theta / dt: the basis's impulse response cut off at
+    the window edge. Tap H[i], (1/theta) times the integral of the basis
+    over [i dt, (i + 1) dt], is M times the step of the closed Legendre
+    antiderivatives F_0 = x, F_k = (l_{k+1} - l_{k-1}) / (4k + 2) across
+    [i / D, (i + 1) / D]. Only min(D, n) taps are built, and each state
+    column is one FFT convolution, so the cost does not grow with D and the
+    error, a few eps times the largest input, not with the signal length.
 
-    The sample period must divide theta (the delay line holds a whole
-    number of steps); otherwise IncompatibleStepError is raised.
+    The sample period must divide theta (the window holds a whole number of
+    steps); otherwise IncompatibleStepError is raised.
     """
-    delay_steps = int(round(sys.theta / u.dt))
-    if delay_steps < 1 or abs(delay_steps * u.dt - sys.theta) > 1e-9 * sys.theta:
+    steps = int(round(basis.theta / u.dt))
+    if steps < 1 or abs(steps * u.dt - basis.theta) > 1e-9 * basis.theta:
         raise IncompatibleStepError(
-            f"dt {u.dt} does not divide the window length {sys.theta}"
+            f"dt {u.dt} does not divide the window length {basis.theta}"
         )
-    dsys = discretize(sys, u.dt, "zoh")
-    ed = discretize(replace(sys, b=encoder(sys)), u.dt, "zoh").bd
-    states = _recur(dsys.ad, np.zeros(sys.q), u.samples.size, dsys.bd, u.samples,
-                    ed, delay_steps)
+    n = u.samples.size
+    x = np.arange(min(steps, n) + 1) / steps
+    ell = legendre_values(basis.width + 1, x)
+    k = np.arange(1, basis.width)[:, None]
+    taps = basis.mixture @ np.diff(np.vstack((x, (ell[2:] - ell[:-2]) / (4 * k + 2))))
+    size = 1 << (n + taps.shape[1] - 2).bit_length()  # a power of two >= n + taps - 1
+    spectrum = np.fft.rfft(u.samples, size)
+    states = np.zeros((n + 1, basis.q))
+    for j, h in enumerate(taps):
+        states[1:, j] = np.fft.irfft(spectrum * np.fft.rfft(h, size), size)[:n]
     return StateTrajectory(states=states, dt=u.dt)
 
 

@@ -53,18 +53,24 @@ def legendre_value_recurrence(q, x):
     return vals
 
 
-def legendre_window_taps(q, theta, dt):
-    """Zero-order-hold taps of the undampened Legendre generator.
+def window_taps(values, n_nodes, theta, dt, n_taps=None):
+    """Zero-order-hold taps of a basis given by its values on [0, 1].
 
-    Row i is (1 / theta) times the integral of the shifted Legendre values
-    over [i dt, (i + 1) dt], for the theta / dt steps of one window, by
-    Gauss-Legendre quadrature with q nodes per step (exact for degree q - 1).
+    ``values(x)`` returns one row per basis function at the window times
+    x = t / theta. Row i is (1 / theta) times the integral of the values
+    over [i dt, (i + 1) dt], for the theta / dt steps of one window (the
+    first n_taps of them, if given), by Gauss-Legendre quadrature with
+    n_nodes per step (exact for degree 2 n_nodes - 1).
     """
-    steps = int(round(theta / dt))
-    nodes, weights = np.polynomial.legendre.leggauss(q)
+    steps = int(round(theta / dt)) if n_taps is None else n_taps
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     s = (np.arange(steps)[:, None] + 0.5 * (nodes[None, :] + 1.0)) * dt
-    vals = legendre_value_recurrence(q, s / theta)
-    return (0.5 * dt / theta) * (vals @ weights).T
+    return (0.5 * dt / theta) * (values(s / theta) @ weights).T
+
+
+def legendre_window_taps(q, theta, dt, n_taps=None):
+    """Taps of the shifted Legendre window, q quadrature nodes per step."""
+    return window_taps(lambda x: legendre_value_recurrence(q, x), q, theta, dt, n_taps)
 
 
 def perfect_window_direct_sum(taps, u):

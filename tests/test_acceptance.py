@@ -110,7 +110,7 @@ def test_criterion_04_perfect_window_zeroes_after_theta():
     with criterion(4, 5.0, "perfect-window impulse response is zero past theta"):
         dt = 1e-3
         traj = sim.perfect_window_transform(
-            lti.mk_legendre(6, 1.0), sim.impulse_signal(dt, 2000)
+            bases.shifted_legendre(6, 1.0), sim.impulse_signal(dt, 2000)
         )
         post = traj.states[1002:]
         assert np.max(np.abs(post)) < 1e-6
@@ -188,7 +188,7 @@ def test_criterion_08_decoded_impulse_concentrates():
                     ).states[-1]
                 else:
                     traj = sim.perfect_window_transform(
-                        lti.mk_legendre(q, 1.0), sim.impulse_signal(dt, 1001)
+                        bases.shifted_legendre(q, 1.0), sim.impulse_signal(dt, 1001)
                     )
                     m_theta = traj.states[1000]
                 decoders = [reencode.legendre_decoder(q, 1.0, tp) for tp in grid]

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import exact_decoders
+from helpers import exact_decoders, perfect_window_direct_sum, window_taps
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -35,6 +35,9 @@ def workdir(tmp_path_factory):
                          "-o", str(root / name))
         assert result.returncode == 0, result.stderr
     write_impulse_signal(root / "impulse.csv")
+    noise = np.random.default_rng(0).standard_normal(3000).tolist()
+    with open(root / "noise.csv", "w", encoding="utf-8", newline="\n") as f:
+        f.write("t,u\n" + "".join(f"{k * 1e-3!r},{x!r}\n" for k, x in enumerate(noise)))
     return root
 
 
@@ -187,6 +190,47 @@ class TestSlide:
         post = rows[rows[:, 0] >= 1.0 + 2e-3, 1:]
         assert np.max(np.abs(post)) < 1e-6
 
+    def test_perfect_window_of_ldn_is_the_legendre_window(self, workdir, tmp_path):
+        # both kinds hold the shifted Legendre basis, whose window is cut at theta
+        outs = []
+        for name in ("ldn.json", "leg.json"):
+            out = tmp_path / f"pw_{name}.csv"
+            result = run_cli("slide", str(workdir / name), "--signal",
+                             str(workdir / "noise.csv"), "--perfect-window", "-o", str(out))
+            assert result.returncode == 0, result.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("kind", ["chebyshev", "custom"])
+    def test_perfect_window_matches_direct_sum(self, workdir, tmp_path, kind):
+        if kind == "chebyshev":
+            system = workdir / "cheb.json"
+
+            def values(x):
+                return np.cos(np.arange(6).reshape(-1, 1, 1) * np.arccos(2.0 * x - 1.0))
+        else:
+            from ldnkit import bases
+
+            polys = [p.tolist() for p in bases.random_basis(6, 1.0, seed=0).polys]
+            basis_file = tmp_path / "basis.json"
+            basis_file.write_text(json.dumps({"theta": 1.0, "polys": polys}),
+                                  encoding="utf-8")
+            system = tmp_path / "sys.json"
+            result = run_cli("gen", "--kind", "custom", "--basis", str(basis_file),
+                             "-o", str(system))
+            assert result.returncode == 0, result.stderr
+
+            def values(x):
+                return np.array([np.polynomial.polynomial.polyval(x, p) for p in polys])
+        out = tmp_path / "pw.csv"
+        result = run_cli("slide", str(system), "--signal", str(workdir / "noise.csv"),
+                         "--perfect-window", "-o", str(out))
+        assert result.returncode == 0, result.stderr
+        states = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:]
+        u = np.loadtxt(workdir / "noise.csv", delimiter=",", skiprows=1)[:, 1]
+        ref = perfect_window_direct_sum(window_taps(values, 6, 1.0, 1e-3), u)
+        assert np.max(np.abs(states - ref)) < 1e-12
+
     def test_non_uniform_signal_exits_4(self, workdir, tmp_path):
         sig = tmp_path / "bad.csv"
         sig.write_text("t,u\n0.0,1.0\n0.1,0.0\n0.3,0.0\n", encoding="utf-8")
@@ -204,6 +248,16 @@ class TestSlide:
     def test_inf_time_exits_4(self, workdir, tmp_path):
         sig = tmp_path / "inf.csv"
         sig.write_text("t,u\n0.0,1.0\n0.001,0.0\ninf,0.0\n", encoding="utf-8")
+        result = run_cli("slide", str(workdir / "ldn.json"), "--signal", str(sig),
+                         "-o", str(tmp_path / "x.csv"))
+        assert result.returncode == 4, result.stderr
+        assert "spacing" in result.stderr
+        assert "Warning" not in result.stderr
+
+    def test_overflowing_spacing_exits_4(self, workdir, tmp_path):
+        # finite times whose mean spacing overflows
+        sig = tmp_path / "huge.csv"
+        sig.write_text("t,u\n-1.7e308,1.0\n0.0,0.0\n1.7e308,0.0\n", encoding="utf-8")
         result = run_cli("slide", str(workdir / "ldn.json"), "--signal", str(sig),
                          "-o", str(tmp_path / "x.csv"))
         assert result.returncode == 4, result.stderr
@@ -300,6 +354,22 @@ class TestDecode:
         traj.write_text(
             "t," + ",".join(f"m_{n}" for n in range(6)) + "\n"
             + "".join(t + ",0.0" * 6 + "\n" for t in ("0.0", "0.001", "inf")),
+            encoding="utf-8",
+        )
+        out = tmp_path / "x.csv"
+        result = run_cli("decode", str(workdir / "ldn.json"), "--trajectory", str(traj),
+                         "-o", str(out))
+        assert result.returncode == 4, result.stderr
+        assert "spacing" in result.stderr
+        assert "Warning" not in result.stderr
+        assert not out.exists()
+
+    def test_overflowing_spacing_exits_4(self, workdir, tmp_path):
+        # finite times whose mean spacing overflows
+        traj = tmp_path / "huge.csv"
+        traj.write_text(
+            "t," + ",".join(f"m_{n}" for n in range(6)) + "\n"
+            + "".join(t + ",0.0" * 6 + "\n" for t in ("-1.7e308", "0.0", "1.7e308")),
             encoding="utf-8",
         )
         out = tmp_path / "x.csv"

@@ -154,40 +154,67 @@ class TestPerfectWindow:
     def test_impulse_vanishes_after_window(self):
         sys = lti.mk_legendre(6, 1.0)
         dt = 1e-3
-        traj = sim.perfect_window_transform(sys, sim.impulse_signal(dt, 1500))
+        traj = sim.perfect_window_transform(bases.shifted_legendre(6, 1.0),
+                                            sim.impulse_signal(dt, 1500))
         post = traj.states[1002:]
         assert np.max(np.abs(post)) < 1e-6 * np.max(np.abs(sys.b))
 
     def test_impulse_matches_undampened_before_window(self):
         sys = lti.mk_legendre(6, 1.0)
         dt = 1e-3
-        traj = sim.perfect_window_transform(sys, sim.impulse_signal(dt, 999))
+        traj = sim.perfect_window_transform(bases.shifted_legendre(6, 1.0),
+                                            sim.impulse_signal(dt, 999))
         imp = sim.impulse_response(sys, dt, 0.999)
         assert np.max(np.abs(traj.states[1:] - imp.states[1:1000])) < 0.03
 
     def test_zero_signal(self):
         traj = sim.perfect_window_transform(
-            lti.mk_legendre(4, 1.0), sim.Signal(samples=np.zeros(1200), dt=1e-3)
+            bases.shifted_legendre(4, 1.0), sim.Signal(samples=np.zeros(1200), dt=1e-3)
         )
         assert np.array_equal(traj.states, np.zeros((1201, 4)))
 
     def test_incompatible_step(self):
         with pytest.raises(IncompatibleStepError):
             sim.perfect_window_transform(
-                lti.mk_legendre(4, 1.0), sim.Signal(samples=np.zeros(10), dt=3e-4)
+                bases.shifted_legendre(4, 1.0), sim.Signal(samples=np.zeros(10), dt=3e-4)
             )
 
-    def test_long_signal_matches_direct_sum(self):
+    @pytest.mark.parametrize("q", [6, 16, 24, 32])
+    def test_long_signal_matches_direct_sum(self, q):
         # oracle: the window's zero-order-hold taps by quadrature of the
         # Legendre values, summed over the last theta of a 12-window random
-        # input. The delay-line recurrence errs by 2.1e-9 here (states are
-        # O(0.1)); the bound sits 14x above that.
+        # input. The states are O(0.1); the FIR transform errs by about
+        # 3e-15 at every q.
         dt = 1e-3
         u = np.random.default_rng(0).standard_normal(12000)
-        traj = sim.perfect_window_transform(lti.mk_legendre(6, 1.0),
+        traj = sim.perfect_window_transform(bases.shifted_legendre(q, 1.0),
                                             sim.Signal(samples=u, dt=dt))
-        ref = perfect_window_direct_sum(legendre_window_taps(6, 1.0, dt), u)
-        assert np.max(np.abs(traj.states - ref)) < 3e-8
+        ref = perfect_window_direct_sum(legendre_window_taps(q, 1.0, dt), u)
+        assert np.max(np.abs(traj.states - ref)) < 1e-12
+
+    @pytest.mark.parametrize("basis", [bases.shifted_chebyshev(12),
+                                       bases.random_basis(12, seed=0)],
+                             ids=["chebyshev", "random"])
+    def test_any_basis_matches_direct_sum(self, basis):
+        # the taps of a mixture p = M l are M times the Legendre taps
+        dt = 1e-3
+        u = np.random.default_rng(1).standard_normal(5000)
+        traj = sim.perfect_window_transform(basis, sim.Signal(samples=u, dt=dt))
+        taps = legendre_window_taps(12, 1.0, dt) @ basis.mixture.T
+        ref = perfect_window_direct_sum(taps, u)
+        assert np.max(np.abs(traj.states - ref)) < 1e-12
+
+    def test_short_signal_builds_only_the_taps_it_reaches(self):
+        # a window of 1e7 steps: 10 samples reach only its first 10 taps,
+        # so the transform must not build the other 9 999 990
+        q, theta = 6, 1.0
+        dt = theta / 1e7
+        u = np.random.default_rng(2).standard_normal(10)
+        traj = sim.perfect_window_transform(bases.shifted_legendre(q, theta),
+                                            sim.Signal(samples=u, dt=dt))
+        assert traj.states.shape == (11, q)
+        ref = perfect_window_direct_sum(legendre_window_taps(q, theta, dt, n_taps=10), u)
+        assert np.max(np.abs(traj.states - ref)) < 1e-12
 
     def test_aliasing_discrepancy_shrinks_with_q(self):
         # over [0, 0.9 theta] the dampened system deviates from the basis
@@ -208,9 +235,8 @@ class TestDecodeWindow:
         assert np.array_equal(sim.decode_window(np.zeros(4), decs), np.zeros(3))
 
     def test_constant_window_decodes_to_constant(self):
-        sys = lti.mk_legendre(6, 1.0)
         u = sim.Signal(samples=np.ones(2000), dt=1e-3)
-        traj = sim.perfect_window_transform(sys, u)
+        traj = sim.perfect_window_transform(bases.shifted_legendre(6, 1.0), u)
         decs = [
             reencode.legendre_decoder(6, 1.0, tp) for tp in np.linspace(0.0, 1.0, 21)
         ]

@@ -92,14 +92,12 @@ def _basis_for_document(doc: formats.SystemDocument) -> PolyBasis:
     return make_basis(polys, float(raw.get("theta", doc.theta)))
 
 
-def _decoders(doc: formats.SystemDocument, method: str, theta_primes, n_samples: int):
+def _decoders(kind: str, basis: PolyBasis, method: str, theta_primes, n_samples: int):
     if method == reencode.METHOD_LEGENDRE:
-        if doc.kind not in _LEGENDRE_KINDS:
-            raise FormatError(
-                "closed-form-legendre only applies to ldn/legendre systems"
-            )
-        return [reencode.legendre_decoder(doc.q, doc.theta, tp) for tp in theta_primes]
-    return reencode.decoder_bank(_basis_for_document(doc), theta_primes, method, n_samples)
+        if kind not in _LEGENDRE_KINDS:
+            raise FormatError("closed-form-legendre only applies to ldn/legendre systems")
+        return [reencode.legendre_decoder(basis.q, basis.theta, tp) for tp in theta_primes]
+    return reencode.decoder_bank(basis, theta_primes, method, n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +115,9 @@ def _cmd_gen(args) -> int:
 def _cmd_impulse(args) -> int:
     doc = formats.read_system_document(args.system)
     dt = args.dt if args.dt is not None else doc.theta / sim.DEFAULT_STEPS_PER_WINDOW
-    traj = sim.impulse_response(doc.to_system(), dt, args.t_max)
+    # the undampened kinds' impulse response is their basis; the ldn's is not
+    source = doc.to_system() if doc.kind == "ldn" else _basis_for_document(doc)
+    traj = sim.impulse_response(source, dt, args.t_max)
     formats.write_trajectory_csv(args.out, traj)
     return EXIT_OK
 
@@ -144,7 +144,8 @@ def _cmd_decode(args) -> int:
     if grid_n < 2:
         raise FormatError("--theta-prime-grid must be at least 2")
     theta_primes = [doc.theta * i / (grid_n - 1) for i in range(grid_n)]
-    decoders = _decoders(doc, args.method, theta_primes, args.n_samples)
+    decoders = _decoders(doc.kind, _basis_for_document(doc), args.method, theta_primes,
+                         args.n_samples)
     decoded = sim.StateTrajectory(sim.decode_window(traj.states, decoders), traj.dt)
     columns = [f"u@{formats.shortest_float(tp)}" for tp in theta_primes]
     formats.write_trajectory_csv(args.out, decoded, t0=t0, columns=columns)
@@ -173,17 +174,13 @@ def _load_system_or_basis(path) -> formats.SystemDocument:
 def _cmd_reencode(args) -> int:
     doc = _load_system_or_basis(args.system)
     system = doc.to_system()
-    method = args.method
-    if method is None:
-        method = (
-            reencode.METHOD_LEGENDRE
-            if doc.kind in _LEGENDRE_KINDS
-            else reencode.METHOD_HILBERT
-        )
-    decoder = _decoders(doc, method, [doc.theta], args.n_samples)[0]
+    default = reencode.METHOD_LEGENDRE if doc.kind in _LEGENDRE_KINDS else reencode.METHOD_HILBERT
+    method = args.method or default
+    basis = _basis_for_document(doc)
+    decoder = _decoders(doc.kind, basis, method, [doc.theta], args.n_samples)[0]
     # the impulse response at the window end is the basis there, p(theta);
     # exactly all ones for the Legendre kinds
-    e = _basis_for_document(doc).values(doc.theta)[:, 0]
+    e = basis.values(doc.theta)[:, 0]
     gamma = reencode.delay_reencoder(e, decoder)
     dampened = reencode.dampen(system, gamma)
 

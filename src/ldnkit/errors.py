@@ -22,7 +22,7 @@ class GenerationFailedError(LdnkitError):
 
 
 class IncompatibleStepError(LdnkitError):
-    """The sample period does not divide the window length."""
+    """The sample period does not divide the window length, or overflows a step."""
 
 
 class NonUniformSignalError(LdnkitError):

@@ -37,9 +37,6 @@ _PADE6 = (
     1.0 / 665280.0,
 )
 
-# ||A / 2^s||_1 is brought below this before applying the Pade approximant.
-_SQUARING_THRESHOLD = 0.5
-
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-d float array, requiring finite entries."""
@@ -69,11 +66,12 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
 
 
 def one_norm(a) -> float:
-    """Induced 1-norm (maximum absolute column sum)."""
+    """Induced 1-norm (maximum absolute column sum); inf where a sum overflows."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a).sum(axis=0)))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(a).sum(axis=0)))
 
 
 def _condition(a: np.ndarray) -> float:
@@ -123,10 +121,12 @@ def expm(a) -> np.ndarray:
     a = _as_square(a, "a")
     n = a.shape[0]
     norm = one_norm(a)
-    s = 0
-    if norm > _SQUARING_THRESHOLD:
-        s = int(math.ceil(math.log2(norm / _SQUARING_THRESHOLD)))
-    scaled = a / (2.0 ** s)
+    if not math.isfinite(norm):
+        raise ValueError("a has a 1-norm past the float range")
+    # s = ceil(log2(norm / 0.5)) from norm = m 2^e, m in [0.5, 1), overflow-free
+    m, e = math.frexp(norm)
+    s = max(0, e + (m > 0.5))
+    scaled = np.ldexp(a, -s)
     ident = np.eye(n)
     a2 = scaled @ scaled
     a4 = a2 @ a2

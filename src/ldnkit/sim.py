@@ -77,7 +77,9 @@ def discretize(sys: LtiSystem, dt: float, method: str = "zoh") -> DiscreteSystem
         aug = np.zeros((q + 1, q + 1))
         aug[:q, :q] = sys.a / sys.theta
         aug[:q, q] = sys.b / sys.theta
-        full = linalg.expm(aug * dt)
+        full = _step_exponential(dt, aug, dt)
+        if not np.all(np.isfinite(full)):
+            raise IncompatibleStepError(f"sample period {dt} overflows exp((dt / theta) A)")
         ad, bd = full[:q, :q], full[:q, q]
     elif method == "euler":
         ad = np.eye(sys.q) + (dt / sys.theta) * sys.a
@@ -85,6 +87,16 @@ def discretize(sys: LtiSystem, dt: float, method: str = "zoh") -> DiscreteSystem
     else:
         raise ValueError(f"unknown method {method!r}, expected 'zoh' or 'euler'")
     return DiscreteSystem(ad=ad, bd=bd, dt=float(dt), theta=sys.theta)
+
+
+def _step_exponential(scale: float, rate: np.ndarray, dt: float) -> np.ndarray:
+    """exp(scale * rate) over one sample period dt, with no numpy warning;
+    IncompatibleStepError if scale * rate overflows (the caller judges exp)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = scale * rate
+        if np.isfinite(linalg.one_norm(scaled)):
+            return linalg.expm(scaled)
+    raise IncompatibleStepError(f"sample period {dt} overflows (dt / theta) A")
 
 
 def _recur(ad, m0, n_steps, bd=None, u=None) -> np.ndarray:
@@ -97,11 +109,12 @@ def _recur(ad, m0, n_steps, bd=None, u=None) -> np.ndarray:
     return states
 
 
-def impulse_response(sys: LtiSystem, dt: float, t_max: float) -> StateTrajectory:
-    """Sample the impulse response m(k dt) = exp((k dt / theta) A) B.
+def impulse_response(source: LtiSystem | PolyBasis, dt: float, t_max: float) -> StateTrajectory:
+    """Sample an impulse response at k dt for k = 0 .. round(t_max / dt).
 
-    Computed by repeated multiplication with the one-step propagator, which
-    is exact for the homogeneous system up to roundoff.
+    A PolyBasis is its undampened generator's response: p(k dt), evaluated
+    (ValueError where that is not finite). A system's exp((k dt / theta) A) B is
+    stepped by its one-step propagator, which may outgrow the floats.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -110,8 +123,12 @@ def impulse_response(sys: LtiSystem, dt: float, t_max: float) -> StateTrajectory
     if t_max < dt:
         raise ValueError("t_max must be at least dt")
     n_steps = int(round(t_max / dt))
-    ad = linalg.expm((dt / sys.theta) * sys.a)
-    states = _recur(ad, sys.b.astype(float, copy=True), n_steps)
+    if isinstance(source, PolyBasis):
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = linalg.as_matrix(source.values(np.arange(n_steps + 1) * dt).T, "sampled basis")
+    else:
+        ad = _step_exponential(dt / source.theta, source.a, dt)
+        states = _recur(ad, source.b.astype(float, copy=True), n_steps)
     return StateTrajectory(states=states, dt=float(dt))
 
 

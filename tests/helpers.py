@@ -139,6 +139,14 @@ def exact_decoders(coeffs, theta, theta_primes):
     return np.array([[float(v) for v in col] for col in solved])
 
 
+def polyval_exact(coeffs, t):
+    """Monomial coefficients (ascending) at t by Horner in exact fractions, rounded once."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * Fraction(t) + Fraction(c)
+    return float(acc)
+
+
 def csv_text(header, rows):
     """CSV text cell by cell: header line, then repr of each float, LF endings."""
     lines = [",".join(header)] + [",".join(repr(float(x)) for x in row) for row in rows]

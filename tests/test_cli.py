@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import exact_decoders, perfect_window_direct_sum, window_taps
+from helpers import exact_decoders, perfect_window_direct_sum, polyval_exact, window_taps
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -157,6 +157,79 @@ class TestImpulse:
         assert "t_max must be finite" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("q", [16, 32])
+    @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+    def test_undampened_kind_is_its_basis(self, tmp_path, kind, q):
+        # oracle: numpy.polynomial's series at x = 2t/theta - 1, every value
+        # in [-1, 1]; stepping exp(A) instead errs by 2e-5 at q = 16 and by
+        # 7e6 at q = 32
+        sys_file = tmp_path / "sys.json"
+        result = run_cli("gen", "--kind", kind, "--q", str(q), "-o", str(sys_file))
+        assert result.returncode == 0, result.stderr
+        out = tmp_path / "imp.csv"
+        result = run_cli("impulse", str(sys_file), "--t-max", "1", "-o", str(out))
+        assert result.returncode == 0, result.stderr
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (1001, q + 1)
+        series = (np.polynomial.legendre.legval if kind == "legendre"
+                  else np.polynomial.chebyshev.chebval)
+        ref = series(2.0 * rows[:, 0] - 1.0, np.eye(q)).T
+        assert np.max(np.abs(rows[:, 1:] - ref)) < 1e-12
+
+    def test_custom_document_is_its_basis(self, tmp_path):
+        from ldnkit import bases
+
+        polys = [p.tolist() for p in bases.random_basis(6, 1.0, seed=0).polys]
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text(json.dumps({"theta": 1.0, "polys": polys}), encoding="utf-8")
+        sys_file = tmp_path / "sys.json"
+        result = run_cli("gen", "--kind", "custom", "--basis", str(basis_file),
+                         "-o", str(sys_file))
+        assert result.returncode == 0, result.stderr
+        out = tmp_path / "imp.csv"
+        result = run_cli("impulse", str(sys_file), "--t-max", "1", "-o", str(out))
+        assert result.returncode == 0, result.stderr
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        ref = np.array([[polyval_exact(p, t) for p in polys] for t in rows[:, 0]])
+        assert np.max(np.abs(rows[:, 1:] - ref)) < 1e-12
+
+    def test_custom_document_without_basis_exits_2(self, tmp_path):
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text('{"theta": 1.0, "polys": [[1.0], [-1.0, 2.0]]}',
+                              encoding="utf-8")
+        gen = run_cli("gen", "--kind", "custom", "--basis", str(basis_file))
+        assert gen.returncode == 0, gen.stderr
+        doc = json.loads(gen.stdout)
+        del doc["metadata"]["basis"]
+        sys_file = tmp_path / "sys.json"
+        sys_file.write_text(json.dumps(doc), encoding="utf-8")
+        result = run_cli("impulse", str(sys_file), "--t-max", "1",
+                         "-o", str(tmp_path / "x.csv"))
+        assert result.returncode == 2
+        assert "lacks basis coefficients" in result.stderr
+
+    def test_overflowing_basis_values_exit_2(self, tmp_path):
+        sys_file = tmp_path / "leg32.json"
+        result = run_cli("gen", "--kind", "legendre", "--q", "32", "-o", str(sys_file))
+        assert result.returncode == 0, result.stderr
+        out = tmp_path / "x.csv"
+        result = run_cli("impulse", str(sys_file), "--dt", "1e9", "--t-max", "1e10",
+                         "-o", str(out))
+        assert result.returncode == 2, result.stderr
+        assert "non-finite" in result.stderr
+        assert "Warning" not in result.stderr
+        assert not out.exists()
+
+    def test_overflowing_sample_period_exits_4(self, workdir, tmp_path):
+        # (dt / theta) A overflows before the ldn's propagator can be formed
+        out = tmp_path / "x.csv"
+        result = run_cli("impulse", str(workdir / "ldn.json"), "--dt", "1e308",
+                         "--t-max", "1e308", "-o", str(out))
+        assert result.returncode == 4, result.stderr
+        assert "sample period" in result.stderr
+        assert "Warning" not in result.stderr
+        assert not out.exists()
+
     def test_unallocatable_trajectory_exits_2(self, workdir, tmp_path):
         # 1e13 steps exceed the address space, so the allocation fails at once
         result = run_cli("impulse", str(workdir / "ldn.json"), "--dt", "1e-13",
@@ -263,6 +336,20 @@ class TestSlide:
         assert result.returncode == 4, result.stderr
         assert "spacing" in result.stderr
         assert "Warning" not in result.stderr
+
+    @pytest.mark.parametrize("system, period", [("ldn.json", "1e308"), ("leg.json", "1e300")])
+    def test_overflowing_sample_period_exits_4(self, workdir, tmp_path, system, period):
+        # a finite period so long that (dt / theta) A overflows (ldn), or its
+        # exponential does (legendre)
+        sig = tmp_path / "long.csv"
+        sig.write_text(f"t,u\n0.0,1.0\n{period},0.0\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        result = run_cli("slide", str(workdir / system), "--signal", str(sig),
+                         "-o", str(out))
+        assert result.returncode == 4, result.stderr
+        assert "sample period" in result.stderr
+        assert "Warning" not in result.stderr
+        assert not out.exists()
 
     def test_incompatible_step_exits_4(self, workdir, tmp_path):
         sig = tmp_path / "odd.csv"

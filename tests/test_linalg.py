@@ -86,6 +86,15 @@ class TestExpm:
         with pytest.raises(ValueError):
             linalg.expm(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
+    def test_norm_near_float_range(self):
+        # 2^1023.6: the scaling count is 1025, past what 2.0 ** s can hold
+        assert np.array_equal(linalg.expm([[-1.5 * 2.0 ** 1023]]), [[0.0]])
+
+    def test_rejects_overflowing_norm(self):
+        # finite entries whose column sum overflows
+        with pytest.raises(ValueError, match="1-norm"):
+            linalg.expm(np.full((2, 2), 1e308))
+
     def test_inverse_property(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -43,6 +43,14 @@ class TestDiscretize:
         ratio = gap(1e-3) / gap(5e-4)
         assert 3.4 < ratio < 4.6
 
+    @pytest.mark.parametrize("sys, dt", [(lti.mk_ldn(6), 1e308), (lti.mk_legendre(6), 1e300)],
+                             ids=["generator", "exponential"])
+    def test_overflowing_period(self, sys, dt):
+        # (dt / theta) A overflows for the ldn; for the nilpotent legendre
+        # generator it is finite and its exponential overflows
+        with pytest.raises(IncompatibleStepError, match="sample period"):
+            sim.discretize(sys, dt)
+
 
 class TestImpulseResponse:
     def test_starts_at_b(self):
@@ -67,6 +75,34 @@ class TestImpulseResponse:
             sim.impulse_response(lti.mk_ldn(2), 0.0, 1.0)
         with pytest.raises(ValueError):
             sim.impulse_response(lti.mk_ldn(2), 0.1, 0.05)
+
+    def test_overflowing_period(self):
+        with pytest.raises(IncompatibleStepError, match="sample period"):
+            sim.impulse_response(lti.mk_ldn(6), 1e308, 1e308)
+
+    @pytest.mark.parametrize("basis", [bases.shifted_legendre(6, 2.0),
+                                       bases.shifted_chebyshev(16),
+                                       bases.random_basis(6, seed=0)],
+                             ids=["legendre", "chebyshev", "random"])
+    @pytest.mark.parametrize("dt, t_max", [(0.01, 1.5), (0.3, 1.0), (1e-3, 1e-3)])
+    def test_basis_is_sampled(self, basis, dt, t_max):
+        # the basis is its generator's impulse response: evaluated, with the
+        # rows of the system path
+        traj = sim.impulse_response(basis, dt, t_max)
+        rows = sim.impulse_response(lti.mk_ldn(basis.q, basis.theta), dt, t_max).states.shape[0]
+        assert traj.states.shape == (rows, basis.q)
+        assert traj.dt == dt
+        assert np.array_equal(traj.states, basis.values(np.arange(rows) * dt).T)
+
+    def test_basis_rejects_bad_steps(self):
+        basis = bases.shifted_legendre(2)
+        for dt, t_max in ((0.0, 1.0), (0.1, 0.05), (0.1, np.inf)):
+            with pytest.raises(ValueError):
+                sim.impulse_response(basis, dt, t_max)
+
+    def test_overflowing_basis_values(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            sim.impulse_response(bases.shifted_legendre(32), 1e9, 1e10)
 
 
 class TestSlidingTransform:

@@ -35,3 +35,15 @@ def test_cli_import_footprint():
     result = run_python("-c", probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_impulse_reads_basis_without_numpy_polynomial(tmp_path):
+    # impulse on a chebyshev document evaluates the basis from its Legendre
+    # mixture; numpy.polynomial serves only the tests' oracles
+    probe = ("import sys; from ldnkit import cli; d = sys.argv[1]; "
+             "assert cli.main(['gen', '--kind', 'chebyshev', '--q', '6', '-o', d + '/c.json']) == 0; "
+             "assert cli.main(['impulse', d + '/c.json', '--t-max', '1', '-o', d + '/i.csv']) == 0; "
+             "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    result = run_python("-c", probe, str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -218,6 +218,10 @@ def _cmd_reencode(args) -> int:
 
 def _cmd_plot(args) -> int:
     header, rows = formats.read_csv(args.csv)
+    if not np.all(np.isfinite(rows)):
+        print(f"data error: {args.csv}: a cell is not finite, so it has no place on the chart",
+              file=sys.stderr)
+        return EXIT_DATA
     _write_text(args.out, formats.render_svg(header, rows))
     return EXIT_OK
 

@@ -391,10 +391,10 @@ def render_svg(header, rows: np.ndarray) -> str:
     inner_w = _SVG_WIDTH - 2 * _SVG_MARGIN
     inner_h = _SVG_HEIGHT - 2 * _SVG_MARGIN
 
-    def sx(v: float) -> float:
+    def sx(v):
         return _SVG_MARGIN + (v - x_min) / (x_max - x_min) * inner_w
 
-    def sy(v: float) -> float:
+    def sy(v):
         return _SVG_HEIGHT - _SVG_MARGIN - (v - y_min) / (y_max - y_min) * inner_h
 
     parts = [
@@ -410,17 +410,17 @@ def render_svg(header, rows: np.ndarray) -> str:
             f'<line x1="{_SVG_MARGIN}" y1="{zero}" x2="{_SVG_WIDTH - _SVG_MARGIN}" '
             f'y2="{zero}" stroke="#eeeeee"/>'
         )
-    for col in range(ys.shape[1]):
+    # sx and sy map an array bit for bit like a scalar; px serves every polyline
+    px = [f"{v:.2f}," for v in sx(x).tolist()]
+    for col, py in enumerate(sy(ys).T.tolist()):
         colour = _PALETTE[col % len(_PALETTE)]
-        points = " ".join(
-            f"{_fmt_coord(sx(x[k]))},{_fmt_coord(sy(ys[k, col]))}"
-            for k in range(rows.shape[0])
-        )
+        points = " ".join(map("{}{:.2f}".format, px, py))
         parts.append(
             f'<polyline fill="none" stroke="{colour}" stroke-width="1.5" '
             f'points="{points}"/>'
         )
         label = header[col + 1] if col + 1 < len(header) else f"c{col}"
+        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{_SVG_MARGIN + 8 + 60 * col}" y="{_SVG_MARGIN - 12}" '
             f'font-family="monospace" font-size="12" fill="{colour}">{label}</text>'

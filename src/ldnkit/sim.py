@@ -82,21 +82,28 @@ def discretize(sys: LtiSystem, dt: float, method: str = "zoh") -> DiscreteSystem
             raise IncompatibleStepError(f"sample period {dt} overflows exp((dt / theta) A)")
         ad, bd = full[:q, :q], full[:q, q]
     elif method == "euler":
-        ad = np.eye(sys.q) + (dt / sys.theta) * sys.a
-        bd = (dt / sys.theta) * sys.b
+        ad = np.eye(sys.q) + _scaled_step(dt / sys.theta, sys.a, dt)
+        bd = _scaled_step(dt / sys.theta, sys.b, dt)
     else:
         raise ValueError(f"unknown method {method!r}, expected 'zoh' or 'euler'")
     return DiscreteSystem(ad=ad, bd=bd, dt=float(dt), theta=sys.theta)
+
+
+def _scaled_step(scale: float, rate: np.ndarray, dt: float) -> np.ndarray:
+    """scale * rate for one sample period dt, with no numpy warning;
+    IncompatibleStepError if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = scale * rate
+    if np.isfinite(linalg.one_norm(scaled)):
+        return scaled
+    raise IncompatibleStepError(f"sample period {dt} overflows (dt / theta) A")
 
 
 def _step_exponential(scale: float, rate: np.ndarray, dt: float) -> np.ndarray:
     """exp(scale * rate) over one sample period dt, with no numpy warning;
     IncompatibleStepError if scale * rate overflows (the caller judges exp)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = scale * rate
-        if np.isfinite(linalg.one_norm(scaled)):
-            return linalg.expm(scaled)
-    raise IncompatibleStepError(f"sample period {dt} overflows (dt / theta) A")
+        return linalg.expm(_scaled_step(scale, rate, dt))
 
 
 def _recur(ad, m0, n_steps, bd=None, u=None) -> np.ndarray:

@@ -151,3 +151,73 @@ def csv_text(header, rows):
     """CSV text cell by cell: header line, then repr of each float, LF endings."""
     lines = [",".join(header)] + [",".join(repr(float(x)) for x in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def render_svg_per_point(header, rows):
+    """The SVG line chart one point at a time: a closure call and an f-string
+    per coordinate, on numpy scalars, in the fixed 800 x 480 layout."""
+    width, height, margin = 800, 480, 50
+    palette = (
+        "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
+        "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
+    )
+    x = rows[:, 0]
+    ys = rows[:, 1:]
+    x_min, x_max = float(np.min(x)), float(np.max(x))
+    y_min, y_max = float(np.min(ys)), float(np.max(ys))
+    if x_max == x_min:
+        x_max = x_min + 1.0
+    if y_max == y_min:
+        y_max = y_min + 1.0
+    inner_w = width - 2 * margin
+    inner_h = height - 2 * margin
+
+    def sx(v):
+        return margin + (v - x_min) / (x_max - x_min) * inner_w
+
+    def sy(v):
+        return height - margin - (v - y_min) / (y_max - y_min) * inner_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{margin}" y="{margin}" width="{inner_w}" '
+        f'height="{inner_h}" fill="none" stroke="#cccccc"/>',
+    ]
+    if y_min < 0 < y_max:
+        zero = f"{sy(0.0):.2f}"
+        parts.append(
+            f'<line x1="{margin}" y1="{zero}" x2="{width - margin}" '
+            f'y2="{zero}" stroke="#eeeeee"/>'
+        )
+    for col in range(ys.shape[1]):
+        colour = palette[col % len(palette)]
+        points = " ".join(
+            f"{sx(x[k]):.2f},{sy(ys[k, col]):.2f}" for k in range(rows.shape[0])
+        )
+        parts.append(
+            f'<polyline fill="none" stroke="{colour}" stroke-width="1.5" '
+            f'points="{points}"/>'
+        )
+        label = header[col + 1] if col + 1 < len(header) else f"c{col}"
+        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(
+            f'<text x="{margin + 8 + 60 * col}" y="{margin - 12}" '
+            f'font-family="monospace" font-size="12" fill="{colour}">{label}</text>'
+        )
+    for frac in (0.0, 0.5, 1.0):
+        xv = x_min + frac * (x_max - x_min)
+        yv = y_min + frac * (y_max - y_min)
+        parts.append(
+            f'<text x="{sx(xv):.2f}" y="{height - margin + 20}" '
+            f'font-family="monospace" font-size="11" fill="#444444" '
+            f'text-anchor="middle">{float(xv)!r}</text>'
+        )
+        parts.append(
+            f'<text x="{margin - 8}" y="{sy(yv) + 4:.2f}" '
+            f'font-family="monospace" font-size="11" fill="#444444" '
+            f'text-anchor="end">{float(yv)!r}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -661,6 +662,28 @@ class TestPlot:
         csv.write_text("t,u\n", encoding="utf-8")
         result = run_cli("plot", str(csv), "-o", str(tmp_path / "x.svg"))
         assert result.returncode == 2
+
+    def test_label_is_escaped(self, tmp_path):
+        csv = tmp_path / "odd.csv"
+        csv.write_text("t,a<b&c,x>y,m_0\n0.0,1.0,2.0,0.0\n1.0,3.0,-1.0,0.5\n",
+                       encoding="utf-8")
+        out = tmp_path / "odd.svg"
+        assert run_cli("plot", str(csv), "-o", str(out)).returncode == 0
+        root = ET.parse(out).getroot()
+        labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert labels[:3] == ["a<b&c", "x>y", "m_0"]
+        assert ">a&lt;b&amp;c</text>" in out.read_text()
+
+    @pytest.mark.parametrize("cell", ["1,inf", "1,-inf", "1,nan", "inf,2"])
+    def test_non_finite_cell_exits_4(self, tmp_path, cell):
+        csv = tmp_path / "odd.csv"
+        csv.write_text(f"t,u\n0,1\n{cell}\n2,3\n", encoding="utf-8")
+        out = tmp_path / "odd.svg"
+        result = run_cli("plot", str(csv), "-o", str(out))
+        assert result.returncode == 4, result.stderr
+        assert str(csv) in result.stderr and "not finite" in result.stderr
+        assert "Warning" not in result.stderr
+        assert not out.exists()
 
 
 class TestHelp:

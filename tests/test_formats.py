@@ -8,7 +8,7 @@ import pytest
 from ldnkit import bases, formats, lti, sim
 from ldnkit.errors import FormatError, NonUniformSignalError
 
-from helpers import csv_text
+from helpers import csv_text, render_svg_per_point
 
 
 class TestSystemDocument:
@@ -239,3 +239,53 @@ class TestSvg:
     def test_needs_two_columns(self):
         with pytest.raises(FormatError):
             formats.render_svg(["t"], np.zeros((3, 1)))
+
+
+def _chart_rows(q, n, scale=1.0):
+    """A time column k / 1000 and q random columns, all times scale."""
+    rng = np.random.default_rng(1000 * q + n)
+    return scale * np.column_stack((np.arange(n) / 1000, rng.standard_normal((n, q))))
+
+
+def _with(rows, index, value):
+    rows = rows.copy()
+    rows[index] = value
+    return rows
+
+
+def _render_outcome(render, rows):
+    """The text (or exception type) and the warnings of one render; numpy names a
+    scalar op's warning "scalar divide" where an array op's says "divide"."""
+    header = ["t"] + [f"m_{n}" for n in range(rows.shape[1] - 1)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = render(header, rows)
+        except ArithmeticError as exc:
+            out = type(exc)
+    return out, {(w.category, str(w.message).replace("scalar ", "")) for w in caught}
+
+
+_CHARTS = {
+    **{
+        f"q{q}-rows{n}-scale{scale:g}": _chart_rows(q, n, scale)
+        for q in (1, 6, 16, 32) for n in (1, 2, 2001) for scale in (1e-12, 1.0, 1e300)
+    },
+    "constant-column": _with(_chart_rows(6, 2001), (slice(None), 2), 0.5),
+    "all-constant": _with(_chart_rows(6, 50), (slice(None), slice(1, None)), -2.0),
+    "constant-x": _with(_chart_rows(6, 50), (slice(None), 0), 3.0),
+    **{
+        f"{where}-{value}": _with(_chart_rows(6, 50), index, value)
+        for value in (np.nan, np.inf, -np.inf)
+        for where, index in (("cell", (7, 3)), ("column", (slice(None), 2)),
+                             ("x-cell", (7, 0)), ("x-column", (slice(None), 0)))
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_CHARTS))
+def test_svg_matches_per_point(name):
+    # byte for byte and warning for warning: the goldens only hold finite q = 6 charts
+    rows = _CHARTS[name]
+    assert _render_outcome(formats.render_svg, rows) == _render_outcome(
+        render_svg_per_point, rows)

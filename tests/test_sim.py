@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,14 @@ class TestDiscretize:
         # generator it is finite and its exponential overflows
         with pytest.raises(IncompatibleStepError, match="sample period"):
             sim.discretize(sys, dt)
+
+    @pytest.mark.parametrize("theta", [1.0, 1e-10])
+    def test_overflowing_euler_period(self, theta):
+        # (dt / theta) A overflows; at theta = 1e-10 dt / theta itself does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IncompatibleStepError, match="sample period"):
+                sim.discretize(lti.mk_ldn(6, theta), 1e308, "euler")
 
 
 class TestImpulseResponse:

@@ -230,13 +230,12 @@ def _format_pool(n_blocks: int):
 def write_csv(path, header, rows) -> None:
     """Comma-separated, LF line endings, shortest round-trip decimals.
 
-    ``rows`` is any iterable of equal-length rows of numbers. The bytes
+    ``rows`` is any iterable of equal-length rows of numbers; a float
+    ndarray is formatted through views of itself, without a copy. The bytes
     written do not depend on how many CPUs format them.
     """
-    rows = iter(rows)
-    blocks = []
-    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-        blocks.append(np.array(block, dtype=float))
+    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
+    blocks = [table[k : k + _BLOCK_ROWS] for k in range(0, len(table), _BLOCK_ROWS)]
     with _format_pool(len(blocks)) as pool:
         lines = map(_format_block, blocks) if pool is None else pool.imap(_format_block, blocks)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -372,6 +371,16 @@ def _fmt_coord(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _axis_span(lo: float, hi: float) -> tuple[float, float]:
+    """The range an axis spans. A constant column's is [lo, lo + 1], or, where
+    adding 1 leaves lo unchanged (|lo| >= 2^53), the range from 0 to lo."""
+    if hi != lo:
+        return lo, hi
+    if lo + 1.0 != lo:
+        return lo, lo + 1.0
+    return min(lo, 0.0), max(lo, 0.0)
+
+
 def render_svg(header, rows: np.ndarray) -> str:
     """Line chart: first column on the x axis, one polyline per other column.
 
@@ -382,12 +391,8 @@ def render_svg(header, rows: np.ndarray) -> str:
         raise FormatError("need at least one data row and two columns to plot")
     x = rows[:, 0]
     ys = rows[:, 1:]
-    x_min, x_max = float(np.min(x)), float(np.max(x))
-    y_min, y_max = float(np.min(ys)), float(np.max(ys))
-    if x_max == x_min:
-        x_max = x_min + 1.0
-    if y_max == y_min:
-        y_max = y_min + 1.0
+    x_min, x_max = _axis_span(float(np.min(x)), float(np.max(x)))
+    y_min, y_max = _axis_span(float(np.min(ys)), float(np.max(ys)))
     inner_w = _SVG_WIDTH - 2 * _SVG_MARGIN
     inner_h = _SVG_HEIGHT - 2 * _SVG_MARGIN
 

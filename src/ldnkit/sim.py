@@ -2,7 +2,10 @@
 
 A stored system theta * dm/dt = A m + B u is simulated as the plain ODE
 dm/dt = (A / theta) m + (B / theta) u. Zero-order hold is the default
-discretization; forward Euler is kept as a documented fallback.
+discretization; forward Euler is kept as a documented fallback. The state
+recurrence m[k+1] = ad m[k] + bd u[k], which ``sliding_transform`` and a
+system's ``impulse_response`` run, advances a block of samples per pair of
+matrix-vector products, not one sample per Python iteration.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from .lti import LtiSystem
 
 # Sample period used for figure-style outputs when none is given.
 DEFAULT_STEPS_PER_WINDOW = 1000
+
+# Steps the state recurrence advances per pair of matrix-vector products.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -107,12 +113,43 @@ def _step_exponential(scale: float, rate: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _recur(ad, m0, n_steps, bd=None, u=None) -> np.ndarray:
-    """States m[0] = m0, m[k+1] = ad m[k] + bd u[k]; the input term drops out without u."""
-    states = np.empty((n_steps + 1, m0.size))
+    """States m[0] = m0, m[k+1] = ad m[k] + bd u[k]; the input term drops out without u.
+
+    The states advance b = _BLOCK steps at a time. The b states after m are
+    ``stack @ m + toeplitz @ u[k:k + b]``: ``stack`` holds the powers
+    ad^1 .. ad^b as a (b q) x q matrix, and ``toeplitz`` the taps ad^i bd as
+    a lower block-triangular (b q) x b matrix, both formed once; a short
+    last block takes their leading rows and columns. A zero state fed zero
+    inputs stays exactly zero, so from a zero m0 the blocks start at the
+    first nonzero input: delaying the input by whole samples delays the
+    states bit for bit.
+    """
+    q = m0.size
+    b = min(_BLOCK, n_steps)
+    powers = [np.eye(q)]
+    for _ in range(b):
+        powers.append(ad @ powers[-1])
+    powers = np.array(powers)
+    stack = powers[1:].reshape(b * q, q)
+    states = np.zeros((n_steps + 1, q))
     states[0] = m = m0
-    for k in range(n_steps):
-        m = ad @ m if u is None else ad @ m + bd * u[k]
-        states[k + 1] = m
+    start = 0
+    if u is not None:
+        taps = powers[:b] @ bd
+        toeplitz = np.zeros((b, q, b))
+        for j in range(b):
+            toeplitz[j:, :, j] = taps[: b - j]
+        toeplitz = toeplitz.reshape(b * q, b)
+        if not m0.any():
+            nonzero = np.flatnonzero(u)
+            start = nonzero[0] if nonzero.size else n_steps
+    for k in range(start, n_steps, _BLOCK):
+        n = min(_BLOCK, n_steps - k)
+        block = stack[: n * q] @ m
+        if u is not None:
+            block += toeplitz[: n * q, :n] @ u[k : k + n]
+        states[k + 1 : k + n + 1] = block.reshape(n, q)
+        m = states[k + n]
     return states
 
 

@@ -153,6 +153,17 @@ def csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def recur_per_sample(ad, m0, n_steps, bd=None, u=None):
+    """States m[0] = m0, m[k+1] = ad m[k] + bd u[k], one sample at a time;
+    the input term drops out without u."""
+    states = np.empty((n_steps + 1, m0.size))
+    states[0] = m = m0
+    for k in range(n_steps):
+        m = ad @ m if u is None else ad @ m + bd * u[k]
+        states[k + 1] = m
+    return states
+
+
 def render_svg_per_point(header, rows):
     """The SVG line chart one point at a time: a closure call and an f-string
     per coordinate, on numpy scalars, in the fixed 800 x 480 layout."""
@@ -165,10 +176,15 @@ def render_svg_per_point(header, rows):
     ys = rows[:, 1:]
     x_min, x_max = float(np.min(x)), float(np.max(x))
     y_min, y_max = float(np.min(ys)), float(np.max(ys))
+    # a constant column spans [v, v + 1], or [0, v] where v + 1 == v
     if x_max == x_min:
         x_max = x_min + 1.0
+        if x_max == x_min:
+            x_min, x_max = min(x_min, 0.0), max(x_min, 0.0)
     if y_max == y_min:
         y_max = y_min + 1.0
+        if y_max == y_min:
+            y_min, y_max = min(y_min, 0.0), max(y_min, 0.0)
     inner_w = width - 2 * margin
     inner_h = height - 2 * margin
 

@@ -685,6 +685,20 @@ class TestPlot:
         assert "Warning" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, axis", [("1e300,1\n1e300,2", "0.0"),
+                                            ("0,1e17\n1,1e17", "1e+17")],
+                             ids=["constant-x", "constant-y"])
+    def test_huge_constant_column_spans_from_zero(self, tmp_path, rows, axis):
+        # 1e300 + 1 == 1e300: the axis runs from 0 to the constant instead
+        csv = tmp_path / "flat.csv"
+        csv.write_text(f"t,u\n{rows}\n", encoding="utf-8")
+        out = tmp_path / "flat.svg"
+        result = run_cli("plot", str(csv), "-o", str(out))
+        assert result.returncode == 0, result.stderr
+        assert "Warning" not in result.stderr
+        labels = [t.text for t in ET.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert axis in labels and "nan" not in out.read_text()
+
 
 class TestHelp:
     @pytest.mark.parametrize(

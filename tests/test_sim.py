@@ -7,7 +7,7 @@ from ldnkit import bases, lti, reencode, sim
 from ldnkit.errors import IncompatibleStepError
 from ldnkit.poly import eval_poly
 
-from helpers import legendre_window_taps, perfect_window_direct_sum
+from helpers import legendre_window_taps, perfect_window_direct_sum, recur_per_sample
 
 
 class TestDiscretize:
@@ -194,6 +194,79 @@ class TestSlidingTransform:
         m1, m2, m4 = run(2e-3), run(1e-3), run(5e-4)
         ratio = np.linalg.norm(m1 - m2) / np.linalg.norm(m2 - m4)
         assert lo < ratio < hi
+
+
+def _first_non_finite_row(states):
+    finite = np.all(np.isfinite(states), axis=1)
+    return int(np.argmin(finite)) if not finite.all() else None
+
+
+class TestRecurrence:
+    """The blocked state recurrence against the one-sample-at-a-time loop."""
+
+    @pytest.mark.parametrize("case", ["input", "no-input", "m0-and-input", "leading-zeros"])
+    @pytest.mark.parametrize("n_steps", [1, 63, 64, 65, 129, 2001])
+    @pytest.mark.parametrize("q", [1, 6, 32])
+    def test_matches_per_sample(self, q, n_steps, case):
+        rng = np.random.default_rng(1000 * q + n_steps)
+        dsys = sim.discretize(lti.mk_ldn(q, 1.0), 1e-3)
+        m0 = rng.standard_normal(q) if case in ("no-input", "m0-and-input") else np.zeros(q)
+        bd, u = (None, None) if case == "no-input" else (dsys.bd, rng.standard_normal(n_steps))
+        if case == "leading-zeros":
+            u[: n_steps // 2] = 0.0
+        got = sim._recur(dsys.ad, m0, n_steps, bd, u)
+        want = recur_per_sample(dsys.ad, m0, n_steps, bd, u)
+        assert got.shape == want.shape == (n_steps + 1, q)
+        assert np.array_equal(got[0], m0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shift", [1, 63, 64, 65])
+    def test_delayed_input_delays_states_bitwise(self, shift):
+        rng = np.random.default_rng(shift)
+        dsys = sim.discretize(lti.mk_ldn(6, 1.0), 1e-3)
+        u = rng.standard_normal(300)
+        shifted = np.concatenate([np.zeros(shift), u])
+        base = sim.sliding_transform(dsys, sim.Signal(samples=u, dt=1e-3)).states
+        moved = sim.sliding_transform(dsys, sim.Signal(samples=shifted, dt=1e-3)).states
+        assert np.array_equal(moved[shift:], base)
+        assert not moved[:shift].any()
+
+    @staticmethod
+    def _unstable(radius, with_input, seed):
+        """States of a random 6-state system with spectral radius ``radius``,
+        by the kernel and by the reference, over 2001 steps."""
+        rng = np.random.default_rng(seed)
+        ad = rng.standard_normal((6, 6))
+        ad *= radius / np.max(np.abs(np.linalg.eigvals(ad)))
+        m0 = rng.standard_normal(6)
+        bd, u = (rng.standard_normal(6), rng.standard_normal(2001)) if with_input else (None, None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sim._recur(ad, m0, 2001, bd, u), recur_per_sample(ad, m0, 2001, bd, u)
+
+    @pytest.mark.parametrize("with_input", [False, True], ids=["no-input", "input"])
+    @pytest.mark.parametrize("radius", [1e100, 1e200])
+    def test_overflows_at_the_reference_row(self, radius, with_input):
+        # each step multiplies the state by about radius, so no finite row
+        # comes within rounding of the largest double
+        got, want = self._unstable(radius, with_input, seed=8)
+        assert _first_non_finite_row(want) is not None
+        assert _first_non_finite_row(got) == _first_non_finite_row(want)
+
+    @pytest.mark.parametrize("with_input", [False, True], ids=["no-input", "input"])
+    def test_slow_overflow_differs_only_next_to_the_largest_double(self, with_input):
+        # growing 1.5 times a step, the block form multiplies by ad^i, whose
+        # entries can far outgrow the state they produce, so within a small
+        # factor of the largest double (1.8e308) a partial sum may overflow
+        # a few rows before the reference's does (seed 24) or after; both
+        # agree until then
+        got, want = self._unstable(1.5, with_input, seed=24)
+        rows = _first_non_finite_row(got), _first_non_finite_row(want)
+        assert None not in rows
+        k = min(rows)
+        scale = np.max(np.abs(want[:k]), axis=1, keepdims=True)
+        assert np.max(np.abs(got[:k] - want[:k]) / scale) <= 1e-12
+        survivor = want if rows[0] < rows[1] else got
+        assert rows[0] == rows[1] or np.max(np.abs(survivor[k])) > 1e307
 
 
 class TestPerfectWindow:

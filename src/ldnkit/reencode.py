@@ -11,7 +11,9 @@ basis p = M l is a Legendre mixture, so its exact decoders are
 d(theta') = M^-T d_L(theta'): decoder_bank builds them for all delays from
 one inverse of M, under linalg's one singularity rule. The sampled
 pseudo-inverse method needs no exact form and trades exactness for a
-sampling bias.
+sampling bias; its Gram matrix over the N-point grid comes from the grid's
+own Gauss rule, exact for its polynomial entries, in O(q^3) time whatever
+N.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ from . import linalg
 from .bases import PolyBasis, legendre_values
 from .errors import RankDeficientError, SingularMatrixError
 from .lti import LtiSystem
-
-# Column-chunk size for the streaming discrete decoder; fixed so that the
-# accumulation order, and therefore the result, is deterministic.
-_CHUNK = 65536
 
 METHOD_LEGENDRE = "closed-form-legendre"
 METHOD_HILBERT = "hilbert-direct"
@@ -112,9 +110,12 @@ def decoder_bank(basis: PolyBasis, theta_primes, method: str,
       decoder, and SingularMatrixError is raised past linalg's limit.
     - discrete-pinv takes row floor((N-1) theta' / theta) + 1 of the right
       pseudo-inverse of the q x N sample matrix, scaled by N / theta, from
-      one solve with its Gram matrix, accumulated over fixed-size column
-      chunks (O(qN) time, O(q^2) space). Useful accuracy needs N = n_samples
-      well past q; results sharpen roughly linearly in N. It raises
+      one solve with its Gram matrix. The Gram is summed exactly by the
+      n-point Gauss rule of the grid, n = min(width, N): one eigh of the
+      n x n Jacobi matrix of the discrete Chebyshev polynomials, so O(q^3)
+      time and O(q^2) space whatever N. Useful accuracy needs N = n_samples
+      well past q; the bias falls as 1/N, up to N = 2^53, past which the
+      sample index is inexact and ValueError is raised. It raises
       RankDeficientError for a rank-deficient sampling.
     """
     if method not in (METHOD_HILBERT, METHOD_BASIS_INVERSE, METHOD_DISCRETE):
@@ -122,6 +123,8 @@ def decoder_bank(basis: PolyBasis, theta_primes, method: str,
     q, theta = basis.q, basis.theta
     if method == METHOD_DISCRETE and n_samples < 2 * q:
         raise ValueError(f"n_samples must be at least 2q = {2 * q}")
+    if method == METHOD_DISCRETE and n_samples > 2**53:
+        raise ValueError("n_samples past 2^53 leaves the sample index inexact")
     theta_primes = np.asarray(theta_primes, dtype=float)
     for tp in theta_primes:
         _check_delay(theta, tp)
@@ -133,12 +136,16 @@ def decoder_bank(basis: PolyBasis, theta_primes, method: str,
         duals = np.linalg.inv(basis.mixture).T
         d = [duals @ row for row in _legendre_duals(q, theta, theta_primes)]
     else:
+        # Gauss rule of the grid's counting measure (Golub & Welsch): nodes and
+        # weights from the Jacobi matrix of the discrete Chebyshev polynomials
+        # centred on 1/2, zero diagonal, lower off-diagonal b_k
+        k = np.arange(1.0, min(basis.width, n_samples))
+        b = (n_samples / (n_samples - 1)) * (k / 2) * np.sqrt(
+            (1.0 - (k / n_samples) ** 2) / (4.0 * k * k - 1.0))
+        lam, vec = np.linalg.eigh(np.diag(b, -1))
+        vals = basis.values(theta * (0.5 + lam))
+        gram = (vals * (n_samples * vec[0] ** 2)) @ vals.T
         step = theta / (n_samples - 1)
-        gram = np.zeros((q, q))
-        for start in range(0, n_samples, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, n_samples), dtype=float)
-            vals = basis.values(idx * step)
-            gram += vals @ vals.T
         cols = basis.values(np.floor((n_samples - 1) * theta_primes / theta) * step)
         try:
             d = ((n_samples / theta) * linalg.lu_solve(gram, cols)).T

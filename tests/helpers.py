@@ -102,6 +102,17 @@ def shifted_legendre_exact(q):
              for k in range(q)] for n in range(q)]
 
 
+def shifted_chebyshev_exact(q):
+    """q x q exact monomial coefficients (Fractions) of the shifted Chebyshev
+    polynomials on [0, 1], T_n(2x - 1), by T_(n+1) = 2 (2x - 1) T_n - T_(n-1)."""
+    rows = [[Fraction(1)] + [Fraction(0)] * (q - 1),
+            [Fraction(-1), Fraction(2)] + [Fraction(0)] * (q - 2)]
+    while len(rows) < q:
+        t, prev = rows[-1], rows[-2]
+        rows.append([-2 * t[k] + 4 * (t[k - 1] if k else 0) - prev[k] for k in range(q)])
+    return rows[:q]
+
+
 def _solve_exact(matrix, rhs):
     """Gauss-Jordan elimination over Fractions; rhs is a list of columns."""
     n = len(matrix)
@@ -137,6 +148,44 @@ def exact_decoders(coeffs, theta, theta_primes):
            for tp in theta_primes]
     solved = _solve_exact(gram, rhs)
     return np.array([[float(v) for v in col] for col in solved])
+
+
+def grid_power_sums(n, pmax):
+    """Exact integers S_p = sum_{k < n} k^p for p = 0..pmax.
+
+    From the telescoping identity n^(p+1) = sum_{j <= p} C(p+1, j) S_j.
+    """
+    sums = []
+    for p in range(pmax + 1):
+        rest = sum(math.comb(p + 1, j) * s for j, s in enumerate(sums))
+        sums.append((n ** (p + 1) - rest) // (p + 1))
+    return sums
+
+
+def sampled_pinv_exact(coeffs, theta, n, theta_primes):
+    """K x q sampled pseudo-inverse decoders in exact fractions, rounded once.
+
+    ``coeffs`` holds one monomial coefficient row in x = t / theta per basis
+    function, as floats or Fractions. The grid is x_k = k / (n - 1), k < n.
+    Decoder K is (n / theta) G^-1 p(x_j) for the sampled Gram matrix
+    G = sum_k p(x_k) p(x_k)^T, formed from exact power sums of the grid, and
+    the grid point j = floor((n - 1) theta' / theta) at or below the delay.
+    """
+    rows = [[Fraction(c) for c in row] for row in coeffs]
+    width = max(len(r) for r in rows)
+    rows = [r + [Fraction(0)] * (width - len(r)) for r in rows]
+    sums = grid_power_sums(n, 2 * width - 2)
+    h = Fraction(1, n - 1)
+    moments = [[sums[i + j] * h ** (i + j) for j in range(width)] for i in range(width)]
+    half = [[sum(r[i] * moments[i][j] for i in range(width)) for j in range(width)]
+            for r in rows]
+    gram = [[sum(a[j] * s[j] for j in range(width)) for s in rows] for a in half]
+    rhs = []
+    for tp in theta_primes:
+        x = math.floor((n - 1) * tp / theta) * h
+        rhs.append([sum(c * x ** k for k, c in enumerate(r)) for r in rows])
+    scale = Fraction(n) / Fraction(theta)
+    return np.array([[float(scale * v) for v in col] for col in _solve_exact(gram, rhs)])
 
 
 def polyval_exact(coeffs, t):

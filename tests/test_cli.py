@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -498,6 +499,32 @@ class TestReencode:
         block = json.loads(out.read_text())
         report = "\n".join(block["metadata"]["reference_match"])
         assert "3 of 6 overlapping entries match: [2, 4, 6]" in report
+
+    def test_discrete_bytes_independent_of_blas_threads(self, workdir, tmp_path):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"re{threads}.json"
+            result = subprocess.run(
+                [sys.executable, "-m", "ldnkit.cli", "reencode", str(workdir / "cheb.json"),
+                 "--method", "discrete-pinv", "--n-samples", "1000000", "-o", str(out)],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert result.returncode == 0, result.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("n_samples", [str(2**53 + 1), str(10**400)])
+    def test_inexact_sample_index_exits_2(self, workdir, tmp_path, n_samples):
+        out = tmp_path / "re.json"
+        result = run_cli("reencode", str(workdir / "cheb.json"),
+                         "--method", "discrete-pinv", "--n-samples", n_samples,
+                         "-o", str(out))
+        assert result.returncode == 2
+        assert "2^53" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert "Warning" not in result.stderr
+        assert not out.exists()
 
     def test_q1_rank_one(self, tmp_path):
         sys_file = tmp_path / "sys.json"

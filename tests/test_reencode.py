@@ -6,6 +6,8 @@ import pytest
 from helpers import (
     exact_decoders,
     legendre_value_recurrence,
+    sampled_pinv_exact,
+    shifted_chebyshev_exact,
     shifted_legendre_exact,
 )
 from ldnkit import bases, linalg, lti, reencode
@@ -303,6 +305,78 @@ class TestDecoderBank:
         with pytest.raises(RankDeficientError):
             reencode.decoder_bank(dependent, [0.0, 1.0], reencode.METHOD_DISCRETE,
                                   n_samples=100)
+
+
+def exact_family(family, q, theta):
+    """A library basis and the exact monomial coefficients, in t / theta, of
+    the same polynomials."""
+    if family == "legendre":
+        return bases.shifted_legendre(q, theta), shifted_legendre_exact(q)
+    if family == "chebyshev":
+        return bases.shifted_chebyshev(q, theta), shifted_chebyshev_exact(q)
+    basis = bases.random_basis(q, theta, seed=0)
+    legendre = shifted_legendre_exact(q)
+    return basis, [[sum(Fraction(float(m)) * row[k] for m, row in zip(mix, legendre))
+                    for k in range(q)] for mix in basis.mixture]
+
+
+def discrete_bank(basis, tps, n):
+    return np.array([dec.d for dec in reencode.decoder_bank(
+        basis, tps, reencode.METHOD_DISCRETE, n_samples=n)])
+
+
+class TestDiscreteGaussRule:
+    """The discrete-pinv bank against the sampled pseudo-inverse in exact
+    fractions, whose Gram comes from exact grid power sums."""
+
+    # the rule's nodes come from eigh within about 2 ulps of 1/2 (checked
+    # against a 50-digit eigensolve); at N = 2q that moves the Legendre and
+    # Chebyshev q = 16 decoders by up to 1.4 q * gram_condition * eps, where
+    # a direct grid sum stays within 0.03 of it
+    NODE_ULPS = 2
+
+    @pytest.mark.parametrize("family", ["legendre", "chebyshev", "random"])
+    @pytest.mark.parametrize("q", [4, 6, 12, 16])
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    @pytest.mark.parametrize("n", ["2q", 2001, 100_000])
+    def test_matches_exact_sampled_pinv(self, family, q, theta, n):
+        n = 2 * q if n == "2q" else n
+        basis, coeffs = exact_family(family, q, theta)
+        tps = theta * np.arange(11) / 10
+        got = discrete_bank(basis, tps, n)
+        ref = sampled_pinv_exact(coeffs, theta, n, tps)
+        tol = self.NODE_ULPS * q * bases.validate(basis).gram_condition * np.finfo(float).eps
+        assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [4, 2001])
+    def test_width_above_q(self, n):
+        # width 6 > N = 4 takes the N-point rule, which is the grid itself
+        coeffs = [[1.0, 0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0, 1.0]]
+        basis = bases.make_basis(coeffs, 1.0)
+        assert basis.width == 6
+        tps = np.arange(11) / 10
+        got = discrete_bank(basis, tps, n)
+        ref = sampled_pinv_exact(coeffs, 1.0, n, tps)
+        tol = self.NODE_ULPS * 2 * bases.validate(basis).gram_condition * np.finfo(float).eps
+        assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("q, family", [(6, "chebyshev"), (12, "random")])
+    def test_converges_to_exact_decoders(self, q, family):
+        # the sampling bias falls as 1/N: measured 2e-11 and 7.6e-11 at 1e12
+        basis, _ = exact_family(family, q, 1.0)
+        tps = np.arange(11) / 10
+        got = discrete_bank(basis, tps, 10**12)
+        ref = np.array([dec.d for dec in reencode.decoder_bank(
+            basis, tps, reencode.METHOD_HILBERT)])
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_exact_grid_limit(self):
+        basis = bases.shifted_chebyshev(6, 1.0)
+        assert len(reencode.decoder_bank(basis, [1.0], reencode.METHOD_DISCRETE,
+                                         n_samples=2**53)) == 1
+        for n in (2**53 + 1, 10**400):
+            with pytest.raises(ValueError, match="2\\^53"):
+                reencode.decoder_bank(basis, [1.0], reencode.METHOD_DISCRETE, n_samples=n)
 
 
 class TestMethodAgreement:

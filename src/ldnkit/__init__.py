@@ -35,7 +35,6 @@ from .lti import (
     mk_legendre,
     mk_poly_basis_lti,
     to_original_ldn,
-    to_scaled_ldn,
 )
 from .poly import eval_poly, hilbert
 from .reencode import (
@@ -72,7 +71,7 @@ __all__ = [
     "SingularMatrixError",
     "condition_estimate", "expm", "lu_solve",
     "LtiSystem", "mk_chebyshev", "mk_ldn", "mk_legendre",
-    "mk_poly_basis_lti", "to_original_ldn", "to_scaled_ldn",
+    "mk_poly_basis_lti", "to_original_ldn",
     "eval_poly", "hilbert",
     "DelayDecoder", "ReencoderMatrix", "dampen",
     "decoder_bank", "decoder_discrete", "decoder_hilbert_direct", "delay_reencoder",

@@ -8,6 +8,7 @@ in [0, theta) (a common zero would extinguish the impulse response there).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,6 +119,7 @@ def _monomial_family(q: int, chebyshev: bool = False) -> np.ndarray:
     return out
 
 
+@functools.cache
 def _chebyshev_mixture(q: int) -> np.ndarray:
     """The shifted Chebyshev polynomials in shifted Legendre coordinates.
 
@@ -127,7 +129,8 @@ def _chebyshev_mixture(q: int) -> np.ndarray:
     onto one binary grid fine enough that sums of its entries are exact in
     any order, and the rounding residue goes to the leading entry: every
     row sums to T_n(1) = 1 exactly, so the values at both window ends come
-    out exactly +-1, as the closed-form generator's B says.
+    out exactly +-1, as the closed-form generator's B says. The result is
+    cached by q and read-only, since every basis of that q shares it.
     """
     from fractions import Fraction
 
@@ -146,6 +149,7 @@ def _chebyshev_mixture(q: int) -> np.ndarray:
         units = [round(c * 2 ** bits) for c in row]
         units[n] += 2 ** bits - sum(units)
         out[n] = np.array(units, dtype=float) / 2.0 ** bits
+    out.flags.writeable = False
     return out
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .bases import PolyBasis, make_basis
 from .errors import FormatError, NonUniformSignalError
+from .linalg import condition_estimate
 from .lti import LtiSystem
 from .sim import Signal, StateTrajectory
 
@@ -98,6 +99,7 @@ class SystemDocument:
         })
 
     def to_system(self) -> LtiSystem:
+        """The stored matrices, without a basis: a document keeps none."""
         return LtiSystem(a=self.a.copy(), b=self.b.copy(), theta=self.theta)
 
 
@@ -105,8 +107,8 @@ def document_from_system(sys: LtiSystem, kind: str, metadata: dict | None = None
     if kind not in SYSTEM_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     meta = dict(metadata or {})
-    if sys.condition is not None and "solver_condition" not in meta:
-        meta["solver_condition"] = sys.condition
+    if kind == "custom" and sys.basis is not None and "solver_condition" not in meta:
+        meta["solver_condition"] = condition_estimate(sys.basis.mixture)
     return SystemDocument(
         kind=kind, q=sys.q, theta=sys.theta, a=sys.a.copy(), b=sys.b.copy(),
         metadata=meta,

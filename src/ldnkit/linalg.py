@@ -12,7 +12,7 @@ i.e. when it cannot be inverted in working precision. Such solves raise
 SingularMatrixError instead of returning rounding noise; there is no second,
 tighter refusal limit. Callers that solve through numpy directly (the
 Legendre-mixture inverses of lti and reencode) apply the rule first by
-calling condition_estimate, and report the number it returns.
+calling condition_estimate; reencode reports the number it returns.
 """
 
 from __future__ import annotations

@@ -13,21 +13,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bases import PolyBasis, validate
+from .bases import PolyBasis, shifted_chebyshev, shifted_legendre, validate
 
 
 @dataclass(frozen=True)
 class LtiSystem:
     """State-space system theta * dm/dt = a m + b u of order q.
 
-    ``condition`` carries the coefficient-solve condition number when the
-    system came out of the generic basis solver, else None.
+    ``basis`` is the basis an undampened generator (mk_legendre,
+    mk_chebyshev, mk_poly_basis_lti) generates: its impulse response
+    exp((t / theta) a) b is basis.values(t), which the encoder and
+    impulse_response read rather than propagate. Every other system (the
+    LDN, a dampened or a loaded one) has None.
     """
 
     a: np.ndarray
     b: np.ndarray
     theta: float
-    condition: float | None = None
+    basis: PolyBasis | None = None
 
     @property
     def q(self) -> int:
@@ -70,7 +73,8 @@ def mk_legendre(q: int, theta: float = 1.0) -> LtiSystem:
     i = np.arange(1, q + 1)[:, None]
     j = np.arange(1, q + 1)[None, :]
     a = np.where((i > j) & ((i + j) % 2 == 1), (4 * j - 2).astype(float), 0.0)
-    return LtiSystem(a=a, b=_alternating(q), theta=float(theta))
+    return LtiSystem(a=a, b=_alternating(q), theta=float(theta),
+                     basis=shifted_legendre(q, theta))
 
 
 def mk_chebyshev(q: int, theta: float = 1.0) -> LtiSystem:
@@ -84,7 +88,8 @@ def mk_chebyshev(q: int, theta: float = 1.0) -> LtiSystem:
     j = np.arange(1, q + 1)[None, :]
     weight = np.where(j == 1, 1.0, 2.0)
     a = np.where((i > j) & ((i + j) % 2 == 1), (2 * i - 2) * weight, 0.0)
-    return LtiSystem(a=a, b=_alternating(q), theta=float(theta))
+    return LtiSystem(a=a, b=_alternating(q), theta=float(theta),
+                     basis=shifted_chebyshev(q, theta))
 
 
 def mk_poly_basis_lti(basis: PolyBasis) -> LtiSystem:
@@ -95,8 +100,7 @@ def mk_poly_basis_lti(basis: PolyBasis) -> LtiSystem:
     from mk_legendre. The basis must pass validate() and have degrees
     bounded by q - 1, so that M is square.
 
-    Raises SingularMatrixError for an M singular to working precision; its
-    condition number is attached to the result.
+    Raises SingularMatrixError for an M singular to working precision.
     """
     report = validate(basis)
     if not report.ok:
@@ -104,15 +108,10 @@ def mk_poly_basis_lti(basis: PolyBasis) -> LtiSystem:
     if basis.width != basis.q:
         raise ValueError("the system solver needs polynomial degrees bounded by q - 1")
     m = basis.mixture
-    cond = linalg.condition_estimate(m)
+    linalg.condition_estimate(m)  # the singularity refusal
     legendre = mk_legendre(basis.q)
     a = m @ legendre.a @ np.linalg.inv(m)
-    return LtiSystem(a=a, b=m @ legendre.b, theta=basis.theta, condition=cond)
-
-
-def _state_scaling(q: int) -> np.ndarray:
-    # M = diag(1 / (2i+1)) with 0-based i; maps original coordinates to scaled
-    return 1.0 / (2.0 * np.arange(q) + 1.0)
+    return LtiSystem(a=a, b=m @ legendre.b, theta=basis.theta, basis=basis)
 
 
 def to_original_ldn(sys: LtiSystem) -> LtiSystem:
@@ -121,21 +120,5 @@ def to_original_ldn(sys: LtiSystem) -> LtiSystem:
     Returns A' = M^-1 A M and B' = M^-1 B with M = diag(1/(2i+1)), the
     coordinates in which dimension i of the state runs (2i+1) times larger.
     """
-    m = _state_scaling(sys.q)
-    return LtiSystem(
-        a=sys.a * (m[None, :] / m[:, None]),
-        b=sys.b / m,
-        theta=sys.theta,
-        condition=sys.condition,
-    )
-
-
-def to_scaled_ldn(sys: LtiSystem) -> LtiSystem:
-    """Inverse of to_original_ldn: A = M A' M^-1, B = M B'."""
-    m = _state_scaling(sys.q)
-    return LtiSystem(
-        a=sys.a * (m[:, None] / m[None, :]),
-        b=sys.b * m,
-        theta=sys.theta,
-        condition=sys.condition,
-    )
+    m = 1.0 / (2.0 * np.arange(sys.q) + 1.0)
+    return LtiSystem(a=sys.a * (m[None, :] / m[:, None]), b=sys.b / m, theta=sys.theta)

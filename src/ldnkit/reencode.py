@@ -1,10 +1,10 @@
 """Encoders, delay decoders, and the rank-1 delay re-encoder.
 
-The encoder e(theta) is the impulse response at the window end. A delay
-decoder d(theta') reads the input value theta' seconds ago back out of the
-state, assuming the window content lies in the span of the basis. Their
-outer product Gamma erases window-old information from the state;
-subtracting it from the feedback matrix dampens the system.
+The encoder e(theta) is the impulse response at the window end: the basis
+there, p(theta). A delay decoder d(theta') reads the input value theta'
+seconds ago back out of the state, assuming the window content lies in the
+span of the basis. Their outer product Gamma erases window-old information
+from the state; subtracting it from the feedback matrix dampens the system.
 
 The shifted Legendre decoders have a closed form d_L(theta'). Any other
 basis p = M l is a Legendre mixture, so its exact decoders are
@@ -60,17 +60,18 @@ def _check_delay(theta: float, theta_prime: float) -> None:
 def encoder(sys: LtiSystem, t: float | None = None) -> np.ndarray:
     """Impulse-response value exp((t / theta) A) B at time t.
 
-    Defaults to the window end t = theta, the encoding vector proper. For a
-    system built from a basis the exact value is the basis itself,
-    basis.values(t), which the CLI reads instead; no library path calls
-    this function. The matrix exponential loses accuracy as A's
-    conditioning grows (random mixtures from q = 12 on).
+    Defaults to the window end t = theta, the encoding vector proper. The
+    value is read off the basis the generator carries, basis.values(t),
+    exactly as the CLI's reencode reads it. ValueError for a system without
+    a basis (the LDN, a dampened or a loaded system).
     """
+    if sys.basis is None:
+        raise ValueError("only an undampened generator carries the basis its encoder reads")
     if t is None:
         t = sys.theta
     if t < 0:
         raise ValueError("t must be non-negative")
-    return linalg.expm((t / sys.theta) * sys.a) @ sys.b
+    return sys.basis.values(t)[:, 0]
 
 
 def _legendre_duals(q: int, theta: float, theta_primes) -> np.ndarray:
@@ -198,12 +199,7 @@ def dampen(sys: LtiSystem, gamma: ReencoderMatrix) -> LtiSystem:
         raise ValueError(
             f"shape mismatch: system {sys.a.shape}, gamma {gamma.gamma.shape}"
         )
-    return LtiSystem(
-        a=sys.a - sys.theta * gamma.gamma,
-        b=sys.b.copy(),
-        theta=sys.theta,
-        condition=sys.condition,
-    )
+    return LtiSystem(a=sys.a - sys.theta * gamma.gamma, b=sys.b.copy(), theta=sys.theta)
 
 
 # Reference values for the q = 6 shifted-Chebyshev window-end decoder, used

@@ -1,11 +1,12 @@
 """Discretization and streaming simulation of the basis-generating systems.
 
 A stored system theta * dm/dt = A m + B u is simulated as the plain ODE
-dm/dt = (A / theta) m + (B / theta) u. Zero-order hold is the default
-discretization; forward Euler is kept as a documented fallback. The state
-recurrence m[k+1] = ad m[k] + bd u[k], which ``sliding_transform`` and a
-system's ``impulse_response`` run, advances a block of samples per pair of
-matrix-vector products, not one sample per Python iteration.
+dm/dt = (A / theta) m + (B / theta) u, discretized by zero-order hold. The
+state recurrence m[k+1] = ad m[k] + bd u[k], which ``sliding_transform``
+and the impulse response of a system without a basis run, advances a
+block of samples per pair of matrix-vector products, not one sample per
+Python iteration. An undampened generator's impulse response is its basis,
+evaluated, not propagated.
 """
 
 from __future__ import annotations
@@ -68,48 +69,35 @@ class DiscreteSystem:
     theta: float
 
 
-def discretize(sys: LtiSystem, dt: float, method: str = "zoh") -> DiscreteSystem:
-    """Discretize at sample period dt.
+def discretize(sys: LtiSystem, dt: float) -> DiscreteSystem:
+    """Zero-order-hold discretization at sample period dt.
 
-    "zoh" holds the input constant over each step: ad = exp((dt/theta) A)
-    and bd integrates exp((s/theta) A) (B/theta) over one step, both read
-    off the exponential of the (q+1) x (q+1) augmented matrix. "euler" is
-    the first-order fallback ad = I + (dt/theta) A, bd = (dt/theta) B.
+    The input is held constant over each step: ad = exp((dt/theta) A) and
+    bd integrates exp((s/theta) A) (B/theta) over one step, both read off
+    the exponential of the (q+1) x (q+1) augmented matrix.
+    IncompatibleStepError where that exponential overflows.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if method == "zoh":
-        q = sys.q
-        aug = np.zeros((q + 1, q + 1))
-        aug[:q, :q] = sys.a / sys.theta
-        aug[:q, q] = sys.b / sys.theta
-        full = _step_exponential(dt, aug, dt)
-        if not np.all(np.isfinite(full)):
-            raise IncompatibleStepError(f"sample period {dt} overflows exp((dt / theta) A)")
-        ad, bd = full[:q, :q], full[:q, q]
-    elif method == "euler":
-        ad = np.eye(sys.q) + _scaled_step(dt / sys.theta, sys.a, dt)
-        bd = _scaled_step(dt / sys.theta, sys.b, dt)
-    else:
-        raise ValueError(f"unknown method {method!r}, expected 'zoh' or 'euler'")
-    return DiscreteSystem(ad=ad, bd=bd, dt=float(dt), theta=sys.theta)
-
-
-def _scaled_step(scale: float, rate: np.ndarray, dt: float) -> np.ndarray:
-    """scale * rate for one sample period dt, with no numpy warning;
-    IncompatibleStepError if it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = scale * rate
-    if np.isfinite(linalg.one_norm(scaled)):
-        return scaled
-    raise IncompatibleStepError(f"sample period {dt} overflows (dt / theta) A")
+    q = sys.q
+    aug = np.zeros((q + 1, q + 1))
+    aug[:q, :q] = sys.a / sys.theta
+    aug[:q, q] = sys.b / sys.theta
+    full = _step_exponential(dt, aug, dt)
+    return DiscreteSystem(ad=full[:q, :q], bd=full[:q, q], dt=float(dt), theta=sys.theta)
 
 
 def _step_exponential(scale: float, rate: np.ndarray, dt: float) -> np.ndarray:
     """exp(scale * rate) over one sample period dt, with no numpy warning;
-    IncompatibleStepError if scale * rate overflows (the caller judges exp)."""
+    IncompatibleStepError if scale * rate or its exponential overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return linalg.expm(_scaled_step(scale, rate, dt))
+        scaled = scale * rate
+        if not np.isfinite(linalg.one_norm(scaled)):
+            raise IncompatibleStepError(f"sample period {dt} overflows (dt / theta) A")
+        full = linalg.expm(scaled)
+    if not np.all(np.isfinite(full)):
+        raise IncompatibleStepError(f"sample period {dt} overflows exp((dt / theta) A)")
+    return full
 
 
 def _recur(ad, m0, n_steps, bd=None, u=None) -> np.ndarray:
@@ -156,9 +144,11 @@ def _recur(ad, m0, n_steps, bd=None, u=None) -> np.ndarray:
 def impulse_response(source: LtiSystem | PolyBasis, dt: float, t_max: float) -> StateTrajectory:
     """Sample an impulse response at k dt for k = 0 .. round(t_max / dt).
 
-    A PolyBasis is its undampened generator's response: p(k dt), evaluated
-    (ValueError where that is not finite). A system's exp((k dt / theta) A) B is
-    stepped by its one-step propagator, which may outgrow the floats.
+    A PolyBasis, or a system that carries one (an undampened generator), is
+    its generator's response: p(k dt), evaluated (ValueError where that is
+    not finite). Any other system's exp((k dt / theta) A) B is stepped by
+    its one-step propagator, which may outgrow the floats;
+    IncompatibleStepError where the propagator itself overflows.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -167,9 +157,10 @@ def impulse_response(source: LtiSystem | PolyBasis, dt: float, t_max: float) -> 
     if t_max < dt:
         raise ValueError("t_max must be at least dt")
     n_steps = int(round(t_max / dt))
-    if isinstance(source, PolyBasis):
+    basis = source if isinstance(source, PolyBasis) else source.basis
+    if basis is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            states = linalg.as_matrix(source.values(np.arange(n_steps + 1) * dt).T, "sampled basis")
+            states = linalg.as_matrix(basis.values(np.arange(n_steps + 1) * dt).T, "sampled basis")
     else:
         ad = _step_exponential(dt / source.theta, source.a, dt)
         states = _recur(ad, source.b.astype(float, copy=True), n_steps)

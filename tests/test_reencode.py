@@ -10,7 +10,7 @@ from helpers import (
     shifted_chebyshev_exact,
     shifted_legendre_exact,
 )
-from ldnkit import bases, linalg, lti, reencode
+from ldnkit import bases, formats, linalg, lti, reencode
 from ldnkit.errors import RankDeficientError, SingularMatrixError
 
 
@@ -35,15 +35,41 @@ class TestEncoder:
         assert np.max(np.abs(e - ref)) < 1e-12
         assert np.max(np.abs(e - 1.0)) < 1e-12
 
+    @staticmethod
+    def _assert_is_the_basis(sys):
+        # the generator's impulse response is its basis, bit for bit
+        theta = sys.theta
+        for t in (0.0, theta / 2, theta, 2 * theta):
+            assert np.array_equal(reencode.encoder(sys, t), sys.basis.values(t)[:, 0])
+        assert np.array_equal(reencode.encoder(sys), sys.basis.values(theta)[:, 0])
+
+    @pytest.mark.parametrize("q", [6, 16, 32])
+    @pytest.mark.parametrize("make_sys", [lti.mk_legendre, lti.mk_chebyshev],
+                             ids=["legendre", "chebyshev"])
+    def test_closed_form_generator_is_its_basis(self, make_sys, q):
+        self._assert_is_the_basis(make_sys(q, 2.0))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_generator_is_its_basis(self, seed):
+        self._assert_is_the_basis(lti.mk_poly_basis_lti(bases.random_basis(16, 2.0, seed)))
+
+    def test_rejects_systems_without_a_basis(self):
+        legendre = lti.mk_legendre(4, 1.0)
+        gamma = reencode.delay_reencoder(np.ones(4), reencode.legendre_decoder(4, 1.0, 1.0))
+        doc = formats.document_from_system(legendre, "legendre")
+        for sys in (lti.mk_ldn(4), reencode.dampen(legendre, gamma), doc.to_system()):
+            with pytest.raises(ValueError, match="basis"):
+                reencode.encoder(sys)
+
     def test_theta_scaling(self):
         # impulse response at t depends only on t / theta
-        e_fast = reencode.encoder(lti.mk_ldn(4, 0.5), 0.25)
-        e_slow = reencode.encoder(lti.mk_ldn(4, 2.0), 1.0)
+        e_fast = reencode.encoder(lti.mk_chebyshev(4, 0.5), 0.25)
+        e_slow = reencode.encoder(lti.mk_chebyshev(4, 2.0), 1.0)
         assert np.max(np.abs(e_fast - e_slow)) < 1e-13
 
     def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            reencode.encoder(lti.mk_ldn(3), -0.1)
+        with pytest.raises(ValueError, match="non-negative"):
+            reencode.encoder(lti.mk_legendre(3), -0.1)
 
 
 class TestLegendreDecoder:

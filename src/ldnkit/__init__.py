@@ -24,10 +24,9 @@ from .errors import (
     IncompatibleStepError,
     LdnkitError,
     NonUniformSignalError,
-    RankDeficientError,
     SingularMatrixError,
 )
-from .linalg import condition_estimate, expm, lu_solve
+from .linalg import condition_estimate, expm
 from .lti import (
     LtiSystem,
     mk_chebyshev,
@@ -67,9 +66,8 @@ __all__ = [
     "PolyBasis", "ValidityReport", "legendre_values", "make_basis",
     "random_basis", "shifted_chebyshev", "shifted_legendre", "validate",
     "FormatError", "GenerationFailedError", "IncompatibleStepError",
-    "LdnkitError", "NonUniformSignalError", "RankDeficientError",
-    "SingularMatrixError",
-    "condition_estimate", "expm", "lu_solve",
+    "LdnkitError", "NonUniformSignalError", "SingularMatrixError",
+    "condition_estimate", "expm",
     "LtiSystem", "mk_chebyshev", "mk_ldn", "mk_legendre",
     "mk_poly_basis_lti", "to_original_ldn",
     "eval_poly", "hilbert",

@@ -1,9 +1,14 @@
 """Polynomial function bases over a window [0, theta].
 
-A basis is an ordered family of q polynomials meant to be generated as the
-impulse response of an LTI system. Two conditions make that possible: the
-polynomials must be linearly independent, and they must have no common zero
-in [0, theta) (a common zero would extinguish the impulse response there).
+A basis is an ordered family of q polynomials of degree below q, meant to
+be generated as the impulse response of an LTI system. It is held as its
+square Legendre mixture M, p = M l, and one condition makes it
+generatable: M is nonsingular, i.e. the polynomials are linearly
+independent. No common zero can then occur in the window, since
+l_0 = 1 = sum_n (M^-1)[0, n] p_n(t) at every t. The degree bound loses
+nothing: a q-state impulse response spans a space closed under d/dt
+(p' = A p), and the only q-dimensional such space of polynomials is the
+one of degree below q.
 """
 
 from __future__ import annotations
@@ -17,12 +22,6 @@ import numpy as np
 from . import linalg, poly
 from .errors import GenerationFailedError, SingularMatrixError
 
-# Condition-2 screening is grid based: a common zero is declared when every
-# basis function is below this magnitude at one of the grid points. This is a
-# heuristic screen, not an exact common-root test.
-COMMON_ZERO_GRID = 1001
-COMMON_ZERO_TOL = 1e-9
-
 _RANDOM_BASIS_RETRIES = 100
 
 
@@ -30,14 +29,11 @@ _RANDOM_BASIS_RETRIES = 100
 class PolyBasis:
     """q polynomials over [0, theta], held as a Legendre mixture.
 
-    ``mixture`` is the q x width matrix M with p_n(t) = sum_k M[n, k]
+    ``mixture`` is the q x q matrix M with p_n(t) = sum_k M[n, k]
     l_k(t / theta), where l_k is the k-th shifted Legendre polynomial on
     [0, 1]; every computation reads M. ``polys`` keeps the monomial
-    coefficients in t exactly as given, one array per function; they are
-    the file and document form.
-
-    Degrees above q - 1 are allowed here (validation and the sampled
-    decoder cope); the system solver and the exact decoders need a square M.
+    coefficients in t, one array per function and of length at most q; they
+    are the file and document form.
     """
 
     q: int
@@ -45,31 +41,24 @@ class PolyBasis:
     polys: tuple
     mixture: np.ndarray
 
-    @property
-    def width(self) -> int:
-        """Common coefficient length: at least q, more for higher degrees."""
-        return self.mixture.shape[1]
-
     def coefficient_matrix(self) -> np.ndarray:
-        """q x width matrix with row n holding the coefficients of function n."""
-        return poly.pad_coefficients(self.polys, self.width)
+        """q x q matrix with row n holding the coefficients of function n."""
+        return poly.pad_coefficients(self.polys, self.q)
 
     def values(self, t) -> np.ndarray:
         """Evaluate every basis function; rows index functions."""
         x = np.atleast_1d(np.asarray(t, dtype=float)) / self.theta
-        return np.tensordot(self.mixture, legendre_values(self.width, x), axes=1)
+        return np.tensordot(self.mixture, legendre_values(self.q, x), axes=1)
 
 
 @dataclass(frozen=True)
 class ValidityReport:
     independent: bool
     gram_condition: float
-    no_common_zero: bool
-    common_zero_at: float | None
 
     @property
     def ok(self) -> bool:
-        return self.independent and self.no_common_zero
+        return self.independent
 
 
 def _check_theta(theta: float) -> None:
@@ -78,25 +67,29 @@ def _check_theta(theta: float) -> None:
 
 
 def make_basis(polys, theta: float) -> PolyBasis:
-    """Bundle monomial coefficient arrays (in t) into a PolyBasis.
+    """Bundle q monomial coefficient arrays (in t) into a PolyBasis.
 
-    The Legendre mixture is solved once from the coefficients through the
-    triangular shifted-Legendre coefficient matrix. Monomial coefficients
-    of degree n reach ~4^n, so the conversion loses about eps * 4^width.
-    The basis is not validated.
+    Every degree must lie below q: a nonzero coefficient past that raises
+    ValueError ("exceeds degree bound"). Trailing zeros only bound a degree
+    (see poly), so they are dropped, and a basis does not depend on how its
+    arrays were padded. The Legendre mixture is solved once from the
+    coefficients through the triangular shifted-Legendre coefficient
+    matrix. Monomial coefficients of degree n reach ~4^n, so the conversion
+    loses about eps * 4^q. The basis is not validated.
     """
     _check_theta(theta)
     coeffs = tuple(poly.as_poly(p) for p in polys)
     if len(coeffs) < 1:
         raise ValueError("a basis needs at least one polynomial")
-    width = max(len(coeffs), max(c.size for c in coeffs))
+    q = len(coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
-        in_x = poly.pad_coefficients(coeffs, width) * float(theta) ** np.arange(width)
+        in_x = poly.pad_coefficients(coeffs, q) * float(theta) ** np.arange(q)
         # M L = in_x, with L upper triangular once transposed
-        mixture = np.linalg.solve(_monomial_family(width).T, in_x.T).T
+        mixture = np.linalg.solve(_monomial_family(q).T, in_x.T).T
     if not np.all(np.isfinite(mixture)):
         raise ValueError("basis coefficients overflow in window units t / theta")
-    return PolyBasis(q=len(coeffs), theta=float(theta), polys=coeffs, mixture=mixture)
+    polys = tuple(c[: max(np.trim_zeros(c, "b").size, 1)] for c in coeffs)
+    return PolyBasis(q=q, theta=float(theta), polys=polys, mixture=mixture)
 
 
 def _monomial_family(q: int, chebyshev: bool = False) -> np.ndarray:
@@ -210,15 +203,15 @@ def legendre_values(q: int, x) -> np.ndarray:
 
 
 def validate(basis: PolyBasis) -> ValidityReport:
-    """Check linear independence and the absence of a common zero on [0, theta).
+    """Check that the basis can be generated: its polynomials are independent.
 
     Independence is judged by nonsingularity of the basis Gram matrix,
     M diag(theta / (2n + 1)) M^T from the Legendre mixture M, so its
-    condition number is as accurate as M itself; the common-zero check
-    scans a dense grid (see COMMON_ZERO_GRID). Returns a report rather
-    than raising.
+    condition number is as accurate as M itself. That is the one condition:
+    an independent basis has no common zero (see the module docstring).
+    Returns a report rather than raising.
     """
-    norms = basis.theta / (2.0 * np.arange(basis.width) + 1.0)
+    norms = basis.theta / (2.0 * np.arange(basis.q) + 1.0)
     gram = (basis.mixture * norms) @ basis.mixture.T
     try:
         gram_condition = linalg.condition_estimate(gram)
@@ -226,23 +219,7 @@ def validate(basis: PolyBasis) -> ValidityReport:
     except SingularMatrixError:
         gram_condition = float("inf")
         independent = False
-
-    grid = basis.theta * np.arange(COMMON_ZERO_GRID) / COMMON_ZERO_GRID
-    vals = basis.values(grid)
-    dead = np.all(np.abs(vals) < COMMON_ZERO_TOL, axis=0)
-    if np.any(dead):
-        common_zero_at = float(grid[int(np.argmax(dead))])
-        no_common_zero = False
-    else:
-        common_zero_at = None
-        no_common_zero = True
-
-    return ValidityReport(
-        independent=independent,
-        gram_condition=float(gram_condition),
-        no_common_zero=no_common_zero,
-        common_zero_at=common_zero_at,
-    )
+    return ValidityReport(independent=independent, gram_condition=float(gram_condition))
 
 
 def random_basis(q: int, theta: float = 1.0, seed: int = 0) -> PolyBasis:

@@ -5,7 +5,7 @@ a fixed contract so scripts can dispatch on them:
 
     0  success
     2  usage error or unparseable input file
-    3  numerical failure (singular to working precision, rank deficient)
+    3  numerical failure (singular to working precision)
     4  bad data (non-uniform signal spacing, incompatible sample period)
 
 All output is deterministic for identical inputs and flags.
@@ -25,7 +25,6 @@ from .errors import (
     FormatError,
     IncompatibleStepError,
     NonUniformSignalError,
-    RankDeficientError,
     SingularMatrixError,
 )
 from .lti import mk_chebyshev, mk_ldn, mk_legendre, mk_poly_basis_lti
@@ -320,7 +319,7 @@ def main(argv=None) -> int:
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SingularMatrixError, RankDeficientError) as exc:
+    except SingularMatrixError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (NonUniformSignalError, IncompatibleStepError) as exc:

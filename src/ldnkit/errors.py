@@ -13,10 +13,6 @@ class SingularMatrixError(LdnkitError):
     """
 
 
-class RankDeficientError(LdnkitError):
-    """A row-rank check failed (Gram matrix of the rows is singular)."""
-
-
 class GenerationFailedError(LdnkitError):
     """Random basis generation exhausted its retry budget."""
 

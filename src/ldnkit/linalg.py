@@ -5,14 +5,17 @@ Matrices are plain ``numpy.ndarray`` objects in row-major order; vectors are
 entries, matching shapes) and never mutated, so values are safe to share
 between threads.
 
-Solves go through numpy's LAPACK. What this module adds is the package's one
-singularity rule, shared by every solve and condition number: a matrix
-counts as singular when its exact 1-norm condition number reaches 1 / eps,
-i.e. when it cannot be inverted in working precision. Such solves raise
-SingularMatrixError instead of returning rounding noise; there is no second,
-tighter refusal limit. Callers that solve through numpy directly (the
-Legendre-mixture inverses of lti and reencode) apply the rule first by
-calling condition_estimate; reencode reports the number it returns.
+Solves and inverses go through numpy's LAPACK. What this module adds is the
+matrix exponential and the package's one singularity rule: a matrix counts
+as singular when its exact 1-norm condition number reaches 1 / eps, i.e.
+when it cannot be inverted in working precision. condition_estimate raises
+SingularMatrixError there instead of letting a solve return rounding noise;
+there is no second, tighter refusal limit. The one matrix the package
+inverts that may be singular is a basis's Legendre mixture M (in lti and
+reencode), and each caller applies the rule to it first; reencode reports
+the number it returns. Every other solve (the Pade denominator below, the
+Legendre coefficients in make_basis, the sampled Legendre Gram in
+reencode) is nonsingular by construction.
 """
 
 from __future__ import annotations
@@ -88,27 +91,6 @@ def _condition(a: np.ndarray) -> float:
             f"1-norm condition number {cond:.3e} reaches 1/eps = {1.0 / _EPS:.3e}"
         )
     return cond
-
-
-def lu_solve(a, b) -> np.ndarray:
-    """Solve a x = b through LAPACK's partially pivoted LU.
-
-    ``b`` may be a vector or a matrix of stacked right-hand sides (one per
-    column); the result has the shape of ``b``. Raises SingularMatrixError
-    for a matrix that is singular to working precision.
-    """
-    a = _as_square(a, "a")
-    b_arr = np.asarray(b, dtype=float)
-    if b_arr.ndim == 1:
-        b_arr = as_vector(b, "b")
-    else:
-        b_arr = as_matrix(b, "b")
-    if b_arr.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: a is {a.shape}, b has {b_arr.shape[0]} rows"
-        )
-    _condition(a)
-    return np.linalg.solve(a, b_arr)
 
 
 def expm(a) -> np.ndarray:

@@ -97,16 +97,13 @@ def mk_poly_basis_lti(basis: PolyBasis) -> LtiSystem:
 
     With M the basis's Legendre mixture, p = M l, the generator is similar
     to the Legendre one: A = M A_L M^-1 and B = M B_L = p(0), with A_L, B_L
-    from mk_legendre. The basis must pass validate() and have degrees
-    bounded by q - 1, so that M is square.
+    from mk_legendre. The basis must pass validate().
 
     Raises SingularMatrixError for an M singular to working precision.
     """
     report = validate(basis)
     if not report.ok:
         raise ValueError(f"basis fails validation: {report}")
-    if basis.width != basis.q:
-        raise ValueError("the system solver needs polynomial degrees bounded by q - 1")
     m = basis.mixture
     linalg.condition_estimate(m)  # the singularity refusal
     legendre = mk_legendre(basis.q)

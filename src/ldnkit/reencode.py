@@ -7,13 +7,14 @@ span of the basis. Their outer product Gamma erases window-old information
 from the state; subtracting it from the feedback matrix dampens the system.
 
 The shifted Legendre decoders have a closed form d_L(theta'). Any other
-basis p = M l is a Legendre mixture, so its exact decoders are
-d(theta') = M^-T d_L(theta'): decoder_bank builds them for all delays from
-one inverse of M, under linalg's one singularity rule. The sampled
-pseudo-inverse method needs no exact form and trades exactness for a
-sampling bias; its Gram matrix over the N-point grid comes from the grid's
-own Gauss rule, exact for its polynomial entries, in O(q^3) time whatever
-N.
+basis p = M l is a square Legendre mixture, so each of its decoders is the
+Legendre one moved by M: d(theta') = M^-T d_L(theta'), since a decoder
+solves G d = p(theta') for a Gram matrix G = M G_L M^T. decoder_bank builds
+them for all delays from one inverse of M, under linalg's one singularity
+rule, whichever Legendre decoders it starts from: the closed form, or the
+sampled pseudo-inverse, which trades exactness for a sampling bias and
+whose Legendre Gram matrix over the N-point grid comes from the grid's own
+Gauss rule, exact for its polynomial entries, in O(q^3) time whatever N.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import linalg
 from .bases import PolyBasis, legendre_values
-from .errors import RankDeficientError, SingularMatrixError
 from .lti import LtiSystem
 
 METHOD_LEGENDRE = "closed-form-legendre"
@@ -103,21 +103,23 @@ def decoder_bank(basis: PolyBasis, theta_primes, method: str,
                  n_samples: int = 100_000) -> list[DelayDecoder]:
     """Delay decoders of one basis-space method for every theta' at once.
 
+    Each method gives Legendre decoders d_L(theta'), and the basis's are
+    d(theta') = M^-T d_L(theta') for its Legendre mixture M: one condition
+    number and one inverse of M, then one product per delay, so a bank
+    equals its per-delay views bit for bit. SingularMatrixError is raised
+    for an M past linalg's limit, whatever the method.
+
     - hilbert-direct and basis-inverse are one exact method under two names:
-      d(theta') = M^-T d_L(theta') for the basis's Legendre mixture M, from
-      one condition number and one inverse of M, then one product per
-      delay, so a bank equals its per-delay views bit for bit. M must be
-      square (degrees below q); its condition number is attached to each
-      decoder, and SingularMatrixError is raised past linalg's limit.
+      d_L is the closed form, and cond(M) is attached to each decoder.
     - discrete-pinv takes row floor((N-1) theta' / theta) + 1 of the right
-      pseudo-inverse of the q x N sample matrix, scaled by N / theta, from
-      one solve with its Gram matrix. The Gram is summed exactly by the
-      n-point Gauss rule of the grid, n = min(width, N): one eigh of the
-      n x n Jacobi matrix of the discrete Chebyshev polynomials, so O(q^3)
-      time and O(q^2) space whatever N. Useful accuracy needs N = n_samples
-      well past q; the bias falls as 1/N, up to N = 2^53, past which the
-      sample index is inexact and ValueError is raised. It raises
-      RankDeficientError for a rank-deficient sampling.
+      pseudo-inverse of the q x N sample matrix, scaled by N / theta. Its
+      d_L solves the Legendre Gram matrix, summed exactly by the q-point
+      Gauss rule of the grid: one eigh of the q x q Jacobi matrix of the
+      discrete Chebyshev polynomials, so O(q^3) time and O(q^2) space
+      whatever N; q <= N distinct nodes with positive weights make it
+      nonsingular. Useful accuracy needs N = n_samples well past q; the bias
+      falls as 1/N, up to N = 2^53, past which the sample index is inexact
+      and ValueError is raised.
     """
     if method not in (METHOD_HILBERT, METHOD_BASIS_INVERSE, METHOD_DISCRETE):
         raise ValueError(f"unknown basis-space decoder method {method!r}")
@@ -129,33 +131,28 @@ def decoder_bank(basis: PolyBasis, theta_primes, method: str,
     theta_primes = np.asarray(theta_primes, dtype=float)
     for tp in theta_primes:
         _check_delay(theta, tp)
-    cond = None
+    cond = linalg.condition_estimate(basis.mixture)
+    duals = np.linalg.inv(basis.mixture).T
     if method != METHOD_DISCRETE:
-        if basis.width != q:
-            raise ValueError("exact decoders need polynomial degrees bounded by q - 1")
-        cond = linalg.condition_estimate(basis.mixture)
-        duals = np.linalg.inv(basis.mixture).T
-        d = [duals @ row for row in _legendre_duals(q, theta, theta_primes)]
+        legendre = _legendre_duals(q, theta, theta_primes)
     else:
+        cond = None
         # Gauss rule of the grid's counting measure (Golub & Welsch): nodes and
         # weights from the Jacobi matrix of the discrete Chebyshev polynomials
         # centred on 1/2, zero diagonal, lower off-diagonal b_k
-        k = np.arange(1.0, min(basis.width, n_samples))
+        k = np.arange(1.0, q)
         b = (n_samples / (n_samples - 1)) * (k / 2) * np.sqrt(
             (1.0 - (k / n_samples) ** 2) / (4.0 * k * k - 1.0))
         lam, vec = np.linalg.eigh(np.diag(b, -1))
-        vals = basis.values(theta * (0.5 + lam))
+        vals = legendre_values(q, 0.5 + lam)
         gram = (vals * (n_samples * vec[0] ** 2)) @ vals.T
         step = theta / (n_samples - 1)
-        cols = basis.values(np.floor((n_samples - 1) * theta_primes / theta) * step)
-        try:
-            d = ((n_samples / theta) * linalg.lu_solve(gram, cols)).T
-        except SingularMatrixError as exc:
-            raise RankDeficientError(f"sampled basis is rank deficient: {exc}") from exc
+        cols = legendre_values(q, np.floor((n_samples - 1) * theta_primes / theta) * step / theta)
+        legendre = ((n_samples / theta) * np.linalg.solve(gram, cols)).T
     return [
-        DelayDecoder(d=row.copy(), theta_prime=float(tp), theta=theta,
+        DelayDecoder(d=duals @ row, theta_prime=float(tp), theta=theta,
                      method=method, condition=cond)
-        for tp, row in zip(theta_primes, d)
+        for tp, row in zip(theta_primes, legendre)
     ]
 
 

@@ -202,8 +202,8 @@ def perfect_window_transform(basis: PolyBasis, u: Signal) -> StateTrajectory:
         )
     n = u.samples.size
     x = np.arange(min(steps, n) + 1) / steps
-    ell = legendre_values(basis.width + 1, x)
-    k = np.arange(1, basis.width)[:, None]
+    ell = legendre_values(basis.q + 1, x)
+    k = np.arange(1, basis.q)[:, None]
     taps = basis.mixture @ np.diff(np.vstack((x, (ell[2:] - ell[:-2]) / (4 * k + 2))))
     size = 1 << (n + taps.shape[1] - 2).bit_length()  # a power of two >= n + taps - 1
     spectrum = np.fft.rfft(u.samples, size)

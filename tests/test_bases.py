@@ -92,34 +92,43 @@ class TestMakeBasis:
 
     def test_overflow_in_window_units(self):
         with pytest.raises(ValueError, match="overflow"):
-            bases.make_basis([[1.0], [0.0, 0.0, 1e300]], 1e10)
+            bases.make_basis([[1.0], [0.0, 1e300]], 1e10)
+
+    def test_rejects_degree_above_q(self):
+        # two functions span at most degree 1; t^2 has no q = 2 generator
+        with pytest.raises(ValueError, match="exceeds degree bound 1"):
+            bases.make_basis([[0.0, 1.0], [0.0, 0.0, 1.0]], 1.0)
+
+    def test_trailing_zeros_dropped(self):
+        padded = bases.make_basis([[1.0, 0.0, 0.0], [-1.0, 2.0, 0.0, -0.0]], 2.0)
+        plain = bases.make_basis([[1.0], [-1.0, 2.0]], 2.0)
+        assert all(np.array_equal(a, b) for a, b in zip(padded.polys, plain.polys))
+        assert [p.size for p in padded.polys] == [1, 2]
+        assert np.array_equal(padded.mixture, plain.mixture)
+        assert np.array_equal(bases.make_basis([[0.0, 0.0]], 1.0).polys[0], [0.0])
 
 
 class TestValidate:
     def test_legendre_passes(self):
         report = bases.validate(bases.shifted_legendre(6, 1.0))
         assert report.ok
-        assert report.independent and report.no_common_zero
+        assert report.independent
         assert report.gram_condition >= 1.0
 
-    def test_common_zero_at_origin(self):
-        basis = bases.make_basis([[0.0, 1.0], [0.0, 0.0, 1.0]], 1.0)
+    @pytest.mark.parametrize("scale", [1e-10, 1e-100, 1.0, 1e100])
+    def test_scale_free(self, scale):
+        # a scaled basis is as valid as the basis: validity is independence,
+        # and an independent basis has no common zero (l_0 = 1 is a mixture)
+        basis = bases.make_basis([[scale], [-scale, 2.0 * scale]], 1.0)
         report = bases.validate(basis)
-        assert not report.ok
-        assert report.independent
-        assert not report.no_common_zero
-        assert report.common_zero_at == 0.0
+        assert report.ok
+        assert report.gram_condition == pytest.approx(3.0, rel=1e-12)
 
     def test_dependent_rows(self):
         basis = bases.make_basis([[1.0, 0.0], [1.0, 0.0]], 1.0)
         report = bases.validate(basis)
         assert not report.independent
         assert report.gram_condition == np.inf
-
-    def test_higher_degree_allowed_in_container(self):
-        basis = bases.make_basis([[0.0, 1.0], [0.0, 0.0, 1.0]], 1.0)
-        assert basis.q == 2 and basis.width == 3
-        assert basis.coefficient_matrix().shape == (2, 3)
 
 
 class TestRandomBasis:
@@ -167,10 +176,7 @@ class TestRandomBasis:
         assert np.all(np.abs(basis.values(grid) - ref) <= bound)
 
     def test_retry_budget_exhausted(self, monkeypatch):
-        always_bad = bases.ValidityReport(
-            independent=False, gram_condition=np.inf,
-            no_common_zero=True, common_zero_at=None,
-        )
+        always_bad = bases.ValidityReport(independent=False, gram_condition=np.inf)
         monkeypatch.setattr(bases, "validate", lambda basis: always_bad)
         with pytest.raises(GenerationFailedError):
             bases.random_basis(4, 1.0, seed=0)

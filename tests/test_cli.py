@@ -124,6 +124,68 @@ class TestGen:
         assert json.loads(result.stdout)["q"] == 2
 
 
+class TestBasisFiles:
+    @pytest.mark.parametrize("cmd", ["gen", "reencode"])
+    def test_scaled_legendre_exits_0(self, tmp_path, cmd):
+        # validity is independence alone, so the size of the coefficients
+        # does not matter
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text('{"theta": 1, "polys": [[1e-10], [-1e-10, 2e-10]]}',
+                              encoding="utf-8")
+        args = (["gen", "--kind", "custom", "--basis", str(basis_file)] if cmd == "gen"
+                else ["reencode", str(basis_file)])
+        result = run_cli(*args)
+        assert result.returncode == 0, result.stderr
+
+    def test_trailing_zeros_give_the_same_document(self, tmp_path):
+        docs = []
+        for polys in ("[[1.0, 0.0, 0.0], [0.0, 1.0]]", "[[1.0], [0.0, 1.0]]"):
+            basis_file = tmp_path / "basis.json"
+            basis_file.write_text('{"theta": 1.0, "polys": %s}' % polys, encoding="utf-8")
+            result = run_cli("gen", "--kind", "custom", "--basis", str(basis_file))
+            assert result.returncode == 0, result.stderr
+            docs.append(result.stdout)
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("cmd", ["gen", "reencode"])
+    def test_degree_above_q_exits_2(self, tmp_path, cmd):
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text('{"theta": 1.0, "polys": [[0.0, 1.0], [0.0, 0.0, 1.0]]}',
+                              encoding="utf-8")
+        args = (["gen", "--kind", "custom", "--basis", str(basis_file)] if cmd == "gen"
+                else ["reencode", str(basis_file)])
+        result = run_cli(*args, "-o", str(tmp_path / "out.json"))
+        assert result.returncode == 2
+        assert "exceeds degree bound 1" in result.stderr
+
+    @pytest.mark.parametrize("cmd", [
+        ("impulse", "--t-max", "1"),
+        ("slide", "--signal", "impulse.csv", "--perfect-window"),
+        ("decode", "--trajectory", "traj.csv", "--method", "hilbert-direct"),
+    ])
+    def test_document_basis_above_degree_bound_exits_2(self, workdir, tmp_path, cmd):
+        # a hand-edited custom document whose embedded basis no q = 2
+        # system generates
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text('{"theta": 1.0, "polys": [[1.0], [-1.0, 2.0]]}',
+                              encoding="utf-8")
+        gen = run_cli("gen", "--kind", "custom", "--basis", str(basis_file))
+        assert gen.returncode == 0, gen.stderr
+        doc = json.loads(gen.stdout)
+        doc["metadata"]["basis"]["polys"] = [[0.0, 1.0], [0.0, 0.0, 1.0]]
+        sys_file = tmp_path / "sys.json"
+        sys_file.write_text(json.dumps(doc), encoding="utf-8")
+        (tmp_path / "traj.csv").write_text("t,m_0,m_1\n0.0,0.0,0.0\n0.001,0.0,0.0\n",
+                                          encoding="utf-8")
+        files = {"impulse.csv": workdir / "impulse.csv", "traj.csv": tmp_path / "traj.csv"}
+        args = [str(files.get(a, a)) for a in cmd[1:]]
+        out = tmp_path / "out.csv"
+        result = run_cli(cmd[0], str(sys_file), *args, "-o", str(out))
+        assert result.returncode == 2, result.stderr
+        assert "exceeds degree bound 1" in result.stderr
+        assert not out.exists()
+
+
 class TestImpulse:
     def test_csv_shape_and_header(self, workdir, tmp_path):
         out = tmp_path / "imp.csv"

@@ -11,7 +11,7 @@ from helpers import (
     shifted_legendre_exact,
 )
 from ldnkit import bases, formats, linalg, lti, reencode
-from ldnkit.errors import RankDeficientError, SingularMatrixError
+from ldnkit.errors import SingularMatrixError
 
 
 def unit_basis(theta=1.0):
@@ -314,33 +314,34 @@ class TestDecoderBank:
                     assert dec.d.tobytes() == ref.tobytes()
                     assert dec.condition == 1.0
 
-    @pytest.mark.parametrize("method", EXACT_METHODS)
-    def test_rejects_degree_above_q(self, method):
-        basis = bases.make_basis([[0.0, 1.0], [0.0, 0.0, 1.0]], 1.0)
-        with pytest.raises(ValueError, match="degrees bounded by q - 1"):
-            reencode.decoder_bank(basis, [0.5], method)
-
-    @pytest.mark.parametrize("method", EXACT_METHODS)
+    @pytest.mark.parametrize("method", EXACT_METHODS + (reencode.METHOD_DISCRETE,))
     def test_singular_mixture_raises(self, method):
         dependent = bases.make_basis([[1.0, 2.0], [2.0, 4.0]], 1.0)
         with pytest.raises(SingularMatrixError):
-            reencode.decoder_bank(dependent, [0.5], method)
+            reencode.decoder_bank(dependent, [0.0, 0.5, 1.0], method, n_samples=100)
 
-    def test_rank_deficient_raises(self):
-        dependent = bases.make_basis([[1.0, 2.0], [2.0, 4.0]], 1.0)
-        with pytest.raises(RankDeficientError):
-            reencode.decoder_bank(dependent, [0.0, 1.0], reencode.METHOD_DISCRETE,
-                                  n_samples=100)
+    @pytest.mark.parametrize("q", [12, 16])
+    def test_monomials_discrete_near_exact(self, q):
+        # cond(M) is 5.5e7 at q = 12 and 5.6e10 at q = 16, but the sampled
+        # Gram is the Legendre one, so the decoders keep the N = 1e5
+        # sampling bias, 7.5e-4 and 1.3e-3, and nothing worse
+        tps = np.arange(11) / 10
+        basis = monomials(q)
+        got = np.array([dec.d for dec in reencode.decoder_bank(
+            basis, tps, reencode.METHOD_DISCRETE)])
+        ref = np.array([dec.d for dec in reencode.decoder_bank(
+            basis, tps, reencode.METHOD_HILBERT)])
+        assert np.max(np.abs(got - ref)) <= 2e-3 * np.max(np.abs(ref))
 
 
-def exact_family(family, q, theta):
+def exact_family(family, q, theta, seed=0):
     """A library basis and the exact monomial coefficients, in t / theta, of
     the same polynomials."""
     if family == "legendre":
         return bases.shifted_legendre(q, theta), shifted_legendre_exact(q)
     if family == "chebyshev":
         return bases.shifted_chebyshev(q, theta), shifted_chebyshev_exact(q)
-    basis = bases.random_basis(q, theta, seed=0)
+    basis = bases.random_basis(q, theta, seed=seed)
     legendre = shifted_legendre_exact(q)
     return basis, [[sum(Fraction(float(m)) * row[k] for m, row in zip(mix, legendre))
                     for k in range(q)] for mix in basis.mixture]
@@ -374,17 +375,15 @@ class TestDiscreteGaussRule:
         tol = self.NODE_ULPS * q * bases.validate(basis).gram_condition * np.finfo(float).eps
         assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("n", [4, 2001])
-    def test_width_above_q(self, n):
-        # width 6 > N = 4 takes the N-point rule, which is the grid itself
-        coeffs = [[1.0, 0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0, 1.0]]
-        basis = bases.make_basis(coeffs, 1.0)
-        assert basis.width == 6
+    @pytest.mark.parametrize("seed, n", [(0, 2001), (1, 100_000)])
+    def test_random_q24_within_1e12(self, seed, n):
+        # the Gram solved is the Legendre one whatever M, so cond(M) enters
+        # only through the one product with M^-T: measured 4.0e-14 and 6.2e-14
+        basis, coeffs = exact_family("random", 24, 1.0, seed)
         tps = np.arange(11) / 10
         got = discrete_bank(basis, tps, n)
         ref = sampled_pinv_exact(coeffs, 1.0, n, tps)
-        tol = self.NODE_ULPS * 2 * bases.validate(basis).gram_condition * np.finfo(float).eps
-        assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("q, family", [(6, "chebyshev"), (12, "random")])
     def test_converges_to_exact_decoders(self, q, family):

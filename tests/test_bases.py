@@ -124,11 +124,28 @@ class TestValidate:
         assert report.ok
         assert report.gram_condition == pytest.approx(3.0, rel=1e-12)
 
+    def test_common_zero_at_origin(self):
+        # q functions of degree below q that all vanish at 0 cannot span
+        # l_0 = 1, so they are dependent, and independence refuses them
+        basis = bases.make_basis([[0.0, 1.0], [0.0, 2.0]], 1.0)
+        report = bases.validate(basis)
+        assert not report.ok
+        assert not report.independent
+        assert np.all(basis.values(0.0) == 0.0)
+
     def test_dependent_rows(self):
         basis = bases.make_basis([[1.0, 0.0], [1.0, 0.0]], 1.0)
         report = bases.validate(basis)
         assert not report.independent
         assert report.gram_condition == np.inf
+
+    def test_higher_degree_allowed_in_container(self):
+        # coefficient slots past degree q - 1 are allowed when they are zero;
+        # the container holds q x q
+        basis = bases.make_basis([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], 1.0)
+        assert basis.q == 2 and basis.mixture.shape == (2, 2)
+        assert basis.coefficient_matrix().shape == (2, 2)
+        assert bases.validate(basis).ok
 
 
 class TestRandomBasis:

@@ -314,6 +314,16 @@ class TestDecoderBank:
                     assert dec.d.tobytes() == ref.tobytes()
                     assert dec.condition == 1.0
 
+    @pytest.mark.parametrize("method", EXACT_METHODS)
+    def test_rejects_degree_above_q(self, method):
+        # make_basis refuses t^2 at q = 2; a container built by hand with the
+        # q x (q + 1) mixture of (t, t^2) is refused at M as well
+        polys = (np.array([0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
+        mixture = np.array([[0.5, 0.5, 0.0], [1.0 / 3.0, 0.5, 1.0 / 6.0]])
+        basis = bases.PolyBasis(q=2, theta=1.0, polys=polys, mixture=mixture)
+        with pytest.raises(ValueError, match="must be square"):
+            reencode.decoder_bank(basis, [0.5], method)
+
     @pytest.mark.parametrize("method", EXACT_METHODS + (reencode.METHOD_DISCRETE,))
     def test_singular_mixture_raises(self, method):
         dependent = bases.make_basis([[1.0, 2.0], [2.0, 4.0]], 1.0)

@@ -35,13 +35,12 @@ from .lti import (
     mk_poly_basis_lti,
     to_original_ldn,
 )
-from .poly import eval_poly, hilbert
+from .poly import hilbert
 from .reencode import (
     DelayDecoder,
     ReencoderMatrix,
     dampen,
     decoder_bank,
-    decoder_discrete,
     decoder_hilbert_direct,
     delay_reencoder,
     encoder,
@@ -55,7 +54,6 @@ from .sim import (
     decode_window,
     discretize,
     impulse_response,
-    impulse_signal,
     perfect_window_transform,
     sliding_transform,
 )
@@ -70,11 +68,11 @@ __all__ = [
     "condition_estimate", "expm",
     "LtiSystem", "mk_chebyshev", "mk_ldn", "mk_legendre",
     "mk_poly_basis_lti", "to_original_ldn",
-    "eval_poly", "hilbert",
+    "hilbert",
     "DelayDecoder", "ReencoderMatrix", "dampen",
-    "decoder_bank", "decoder_discrete", "decoder_hilbert_direct", "delay_reencoder",
+    "decoder_bank", "decoder_hilbert_direct", "delay_reencoder",
     "encoder", "evaluated_decoder", "legendre_decoder",
     "DiscreteSystem", "Signal", "StateTrajectory", "decode_window",
-    "discretize", "impulse_response", "impulse_signal",
+    "discretize", "impulse_response",
     "perfect_window_transform", "sliding_transform",
 ]

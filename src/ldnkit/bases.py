@@ -9,6 +9,13 @@ l_0 = 1 = sum_n (M^-1)[0, n] p_n(t) at every t. The degree bound loses
 nothing: a q-state impulse response spans a space closed under d/dt
 (p' = A p), and the only q-dimensional such space of polynomials is the
 one of degree below q.
+
+M^-1 and cond_1(M) are then the only numbers specific to a basis: its
+generator is M A_L M^-1 and its decoders M^-T d_L. A basis inverts M once,
+under linalg's one singularity rule, and validity, the generator, every
+decoder and the condition numbers they report read that one inverse. A
+condition number in a norm does not depend on the scale of M, so neither
+does validity.
 """
 
 from __future__ import annotations
@@ -33,13 +40,31 @@ class PolyBasis:
     l_k(t / theta), where l_k is the k-th shifted Legendre polynomial on
     [0, 1]; every computation reads M. ``polys`` keeps the monomial
     coefficients in t, one array per function and of length at most q; they
-    are the file and document form.
+    are the file and document form. The mixture is stored read-only, so the
+    cached inverse cannot go stale.
     """
 
     q: int
     theta: float
     polys: tuple
     mixture: np.ndarray
+
+    def __post_init__(self):
+        mixture = np.array(self.mixture, dtype=float)
+        mixture.flags.writeable = False
+        object.__setattr__(self, "mixture", mixture)
+
+    @functools.cached_property
+    def inverse(self) -> tuple[np.ndarray, float]:
+        """(M^-1, cond_1(M)) of the mixture, computed on first use.
+
+        M^-1 is read-only, as every caller shares it. Raises
+        SingularMatrixError for an M singular to working precision (and
+        again on every later use).
+        """
+        inverse, cond = linalg._inverse(self.mixture)
+        inverse.flags.writeable = False
+        return inverse, cond
 
     def coefficient_matrix(self) -> np.ndarray:
         """q x q matrix with row n holding the coefficients of function n."""
@@ -53,12 +78,13 @@ class PolyBasis:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    independent: bool
-    gram_condition: float
+    """cond_1(M) of the basis's mixture; inf when M is singular."""
+
+    condition: float
 
     @property
     def ok(self) -> bool:
-        return self.independent
+        return math.isfinite(self.condition)
 
 
 def _check_theta(theta: float) -> None:
@@ -205,21 +231,15 @@ def legendre_values(q: int, x) -> np.ndarray:
 def validate(basis: PolyBasis) -> ValidityReport:
     """Check that the basis can be generated: its polynomials are independent.
 
-    Independence is judged by nonsingularity of the basis Gram matrix,
-    M diag(theta / (2n + 1)) M^T from the Legendre mixture M, so its
-    condition number is as accurate as M itself. That is the one condition:
-    an independent basis has no common zero (see the module docstring).
-    Returns a report rather than raising.
+    Independence is nonsingularity of the Legendre mixture M, judged by the
+    basis's one inverse; that is the one condition, since an independent
+    basis has no common zero (see the module docstring). Returns a report
+    rather than raising.
     """
-    norms = basis.theta / (2.0 * np.arange(basis.q) + 1.0)
-    gram = (basis.mixture * norms) @ basis.mixture.T
     try:
-        gram_condition = linalg.condition_estimate(gram)
-        independent = True
+        return ValidityReport(condition=basis.inverse[1])
     except SingularMatrixError:
-        gram_condition = float("inf")
-        independent = False
-    return ValidityReport(independent=independent, gram_condition=float(gram_condition))
+        return ValidityReport(condition=math.inf)
 
 
 def random_basis(q: int, theta: float = 1.0, seed: int = 0) -> PolyBasis:

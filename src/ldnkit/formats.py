@@ -18,7 +18,6 @@ import numpy as np
 
 from .bases import PolyBasis, make_basis
 from .errors import FormatError, NonUniformSignalError
-from .linalg import condition_estimate
 from .lti import LtiSystem
 from .sim import Signal, StateTrajectory
 
@@ -108,7 +107,7 @@ def document_from_system(sys: LtiSystem, kind: str, metadata: dict | None = None
         raise ValueError(f"unknown kind {kind!r}")
     meta = dict(metadata or {})
     if kind == "custom" and sys.basis is not None and "solver_condition" not in meta:
-        meta["solver_condition"] = condition_estimate(sys.basis.mixture)
+        meta["solver_condition"] = sys.basis.inverse[1]
     return SystemDocument(
         kind=kind, q=sys.q, theta=sys.theta, a=sys.a.copy(), b=sys.b.copy(),
         metadata=meta,

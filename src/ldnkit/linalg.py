@@ -8,13 +8,13 @@ between threads.
 Solves and inverses go through numpy's LAPACK. What this module adds is the
 matrix exponential and the package's one singularity rule: a matrix counts
 as singular when its exact 1-norm condition number reaches 1 / eps, i.e.
-when it cannot be inverted in working precision. condition_estimate raises
-SingularMatrixError there instead of letting a solve return rounding noise;
-there is no second, tighter refusal limit. The one matrix the package
-inverts that may be singular is a basis's Legendre mixture M (in lti and
-reencode), and each caller applies the rule to it first; reencode reports
-the number it returns. Every other solve (the Pade denominator below, the
-Legendre coefficients in make_basis, the sampled Legendre Gram in
+when it cannot be inverted in working precision. _inverse applies it,
+raising SingularMatrixError instead of returning rounding noise; there is
+no second, tighter refusal limit. The one matrix the package inverts that
+may be singular is a basis's Legendre mixture M, and the basis inverts it
+once, through _inverse, for its validity, its generator, its decoders and
+the condition numbers they report. Every other solve (the Pade denominator
+below, the Legendre coefficients in make_basis, the sampled Legendre Gram in
 reencode) is nonsingular by construction.
 """
 
@@ -77,20 +77,26 @@ def one_norm(a) -> float:
         return float(np.max(np.abs(a).sum(axis=0)))
 
 
-def _condition(a: np.ndarray) -> float:
-    """Exact 1-norm condition number ||a||_1 ||a^-1||_1 of a square matrix.
+def _inverse(a) -> tuple[np.ndarray, float]:
+    """a^-1 and the 1-norm condition number ||a||_1 ||a^-1||_1, at least 1.
 
-    Raises SingularMatrixError unless cond * eps < 1. Written that way, the
-    test also catches the inf or nan numpy returns for exactly singular input.
+    Both come from one LAPACK inverse, so the condition number is exact up
+    to rounding. Raises SingularMatrixError unless cond * eps < 1: written
+    that way, the test also catches the inf or nan of an inverse that
+    overflows. An exactly singular a, where LAPACK meets a zero pivot, is
+    refused by the same rule.
     """
-    if a.size == 0:
-        return 1.0  # np.linalg.cond is undefined on empty arrays
-    cond = float(np.linalg.cond(a, 1))
+    a = _as_square(a, "a")
+    try:
+        inv = np.linalg.inv(a)
+        cond = max(one_norm(a) * one_norm(inv), 1.0)
+    except np.linalg.LinAlgError:
+        cond = math.inf
     if not cond * _EPS < 1.0:
         raise SingularMatrixError(
             f"1-norm condition number {cond:.3e} reaches 1/eps = {1.0 / _EPS:.3e}"
         )
-    return cond
+    return inv, cond
 
 
 def expm(a) -> np.ndarray:
@@ -126,4 +132,4 @@ def condition_estimate(a) -> float:
     Computed from LAPACK's inverse, so it is exact up to rounding. Raises
     SingularMatrixError for a matrix that is singular to working precision.
     """
-    return max(_condition(_as_square(a, "a")), 1.0)
+    return _inverse(a)[1]

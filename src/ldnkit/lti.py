@@ -3,7 +3,9 @@
 The stored convention is theta * dm/dt = A m(t) + B u(t): the window length
 theta only rescales time, so the closed-form matrices below are independent
 of theta and integer valued, and tests can demand exact equality. Conversion
-to plain dm/dt form happens in the simulator.
+to plain dm/dt form happens in the simulator. The generator of any other
+basis is the Legendre one moved by the basis's mixture, and reads the one
+inverse of it the basis holds, under linalg's singularity rule.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .bases import PolyBasis, shifted_chebyshev, shifted_legendre, validate
 
 
@@ -97,17 +98,15 @@ def mk_poly_basis_lti(basis: PolyBasis) -> LtiSystem:
 
     With M the basis's Legendre mixture, p = M l, the generator is similar
     to the Legendre one: A = M A_L M^-1 and B = M B_L = p(0), with A_L, B_L
-    from mk_legendre. The basis must pass validate().
-
-    Raises SingularMatrixError for an M singular to working precision.
+    from mk_legendre and M^-1 the basis's one inverse. ValueError for a
+    basis that fails validate(), i.e. an M singular to working precision.
     """
     report = validate(basis)
     if not report.ok:
         raise ValueError(f"basis fails validation: {report}")
     m = basis.mixture
-    linalg.condition_estimate(m)  # the singularity refusal
     legendre = mk_legendre(basis.q)
-    a = m @ legendre.a @ np.linalg.inv(m)
+    a = m @ legendre.a @ basis.inverse[0]
     return LtiSystem(a=a, b=m @ legendre.b, theta=basis.theta, basis=basis)
 
 

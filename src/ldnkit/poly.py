@@ -7,8 +7,8 @@ exact degree; trailing zeros are permitted.
 Monomial coefficients of degree n reach ~4^n on a unit window, so no
 computation in this package runs on them: a basis is converted once to its
 Legendre mixture (see ``bases``), and everything else reads that. This
-module only coerces, pads and evaluates coefficient arrays, and gives the
-monomial Gram (Hilbert) matrix for reference.
+module only coerces and pads coefficient arrays, and gives the monomial
+Gram (Hilbert) matrix for reference.
 """
 
 from __future__ import annotations
@@ -24,19 +24,6 @@ def as_poly(p, name: str = "polynomial") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} has non-finite coefficients")
     return out
-
-
-def eval_poly(p, t):
-    """Evaluate sum_k coeffs[k] t^k by Horner's rule.
-
-    ``t`` may be a scalar or an array; the result has the shape of ``t``.
-    """
-    p = as_poly(p)
-    t = np.asarray(t, dtype=float)
-    out = np.full(t.shape, p[-1])
-    for c in p[-2::-1]:
-        out = out * t + c
-    return out if out.shape else float(out)
 
 
 def hilbert(q: int, theta: float = 1.0) -> np.ndarray:

@@ -10,11 +10,12 @@ The shifted Legendre decoders have a closed form d_L(theta'). Any other
 basis p = M l is a square Legendre mixture, so each of its decoders is the
 Legendre one moved by M: d(theta') = M^-T d_L(theta'), since a decoder
 solves G d = p(theta') for a Gram matrix G = M G_L M^T. decoder_bank builds
-them for all delays from one inverse of M, under linalg's one singularity
-rule, whichever Legendre decoders it starts from: the closed form, or the
-sampled pseudo-inverse, which trades exactness for a sampling bias and
-whose Legendre Gram matrix over the N-point grid comes from the grid's own
-Gauss rule, exact for its polynomial entries, in O(q^3) time whatever N.
+them for all delays from the basis's one inverse of M, under linalg's one
+singularity rule, whichever Legendre decoders it starts from: the closed
+form, or the sampled pseudo-inverse, which trades exactness for a sampling
+bias and whose Legendre Gram matrix over the N-point grid comes from the
+grid's own Gauss rule, exact for its polynomial entries, in O(q^3) time
+whatever N.
 """
 
 from __future__ import annotations
@@ -104,10 +105,12 @@ def decoder_bank(basis: PolyBasis, theta_primes, method: str,
     """Delay decoders of one basis-space method for every theta' at once.
 
     Each method gives Legendre decoders d_L(theta'), and the basis's are
-    d(theta') = M^-T d_L(theta') for its Legendre mixture M: one condition
-    number and one inverse of M, then one product per delay, so a bank
-    equals its per-delay views bit for bit. SingularMatrixError is raised
-    for an M past linalg's limit, whatever the method.
+    d(theta') = M^-T d_L(theta') for its Legendre mixture M: the basis's
+    one inverse of M, then one product per delay. SingularMatrixError is
+    raised for an M past linalg's limit, whatever the method. The exact
+    methods' banks equal their single-delay views bit for bit; a
+    discrete-pinv bank solves the Gram for all delays at once, which rounds
+    differently from one solve per delay.
 
     - hilbert-direct and basis-inverse are one exact method under two names:
       d_L is the closed form, and cond(M) is attached to each decoder.
@@ -131,8 +134,7 @@ def decoder_bank(basis: PolyBasis, theta_primes, method: str,
     theta_primes = np.asarray(theta_primes, dtype=float)
     for tp in theta_primes:
         _check_delay(theta, tp)
-    cond = linalg.condition_estimate(basis.mixture)
-    duals = np.linalg.inv(basis.mixture).T
+    inverse, cond = basis.inverse
     if method != METHOD_DISCRETE:
         legendre = _legendre_duals(q, theta, theta_primes)
     else:
@@ -150,7 +152,7 @@ def decoder_bank(basis: PolyBasis, theta_primes, method: str,
         cols = legendre_values(q, np.floor((n_samples - 1) * theta_primes / theta) * step / theta)
         legendre = ((n_samples / theta) * np.linalg.solve(gram, cols)).T
     return [
-        DelayDecoder(d=duals @ row, theta_prime=float(tp), theta=theta,
+        DelayDecoder(d=inverse.T @ row, theta_prime=float(tp), theta=theta,
                      method=method, condition=cond)
         for tp, row in zip(theta_primes, legendre)
     ]
@@ -166,13 +168,8 @@ def evaluated_decoder(basis: PolyBasis, theta_prime: float) -> DelayDecoder:
     return decoder_bank(basis, [theta_prime], METHOD_BASIS_INVERSE)[0]
 
 
-def decoder_discrete(basis: PolyBasis, n_samples: int, theta_prime: float) -> DelayDecoder:
-    """Decoder from the pseudo-inverse of the sampled basis (see decoder_bank)."""
-    return decoder_bank(basis, [theta_prime], METHOD_DISCRETE, n_samples)[0]
-
-
 def discrete_decoders(basis: PolyBasis, n_samples: int, theta_primes) -> list[DelayDecoder]:
-    """Batch form of decoder_discrete: one Gram pass, one multi-column solve."""
+    """Sampled pseudo-inverse decoders at every theta' (see decoder_bank)."""
     return decoder_bank(basis, theta_primes, METHOD_DISCRETE, n_samples)
 
 

@@ -40,13 +40,6 @@ class Signal:
             raise ValueError("dt must be positive")
 
 
-def impulse_signal(dt: float, n_samples: int) -> Signal:
-    """Discrete stand-in for a unit Dirac pulse: one sample of height 1/dt."""
-    samples = np.zeros(n_samples)
-    samples[0] = 1.0 / dt
-    return Signal(samples=samples, dt=dt)
-
-
 @dataclass(frozen=True)
 class StateTrajectory:
     """States sampled every dt; row k is m(k dt). One more row than inputs."""

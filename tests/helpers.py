@@ -41,6 +41,25 @@ def random_conditioned(rng, n, kappa):
     return q1 @ np.diag(sv) @ q2
 
 
+def gram_condition(basis):
+    """1-norm condition number of the basis Gram matrix M diag(theta/(2n+1)) M^T.
+
+    The Gram matrix of the basis over its window, from its Legendre mixture
+    M; its condition is about cond(M)^2 and scales the rounding of solves
+    against it, such as the discrete-pinv decoders'.
+    """
+    norms = basis.theta / (2.0 * np.arange(basis.q) + 1.0)
+    gram = (basis.mixture * norms) @ basis.mixture.T
+    return max(float(np.linalg.cond(gram, 1)), 1.0)
+
+
+def dirac(dt, n):
+    """n samples of a discrete unit pulse: one sample of height 1/dt."""
+    samples = np.zeros(n)
+    samples[0] = 1.0 / dt
+    return samples
+
+
 def legendre_value_recurrence(q, x):
     """Shifted Legendre values on [0, 1] by the plain three-term recurrence."""
     x = np.asarray(x, dtype=float)

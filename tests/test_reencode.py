@@ -5,7 +5,9 @@ import pytest
 
 from helpers import (
     exact_decoders,
+    gram_condition,
     legendre_value_recurrence,
+    random_conditioned,
     sampled_pinv_exact,
     shifted_chebyshev_exact,
     shifted_legendre_exact,
@@ -164,12 +166,13 @@ class TestDiscreteDecoder:
     def test_legendre_window_end_n1e5(self):
         # agreement with the closed form is relative: the raw grid sum
         # carries an O(1/N) bias proportional to the entry magnitudes
-        d = reencode.decoder_discrete(bases.shifted_legendre(6, 1.0), 100_000, 1.0)
+        d = reencode.decoder_bank(bases.shifted_legendre(6, 1.0), [1.0],
+                                  reencode.METHOD_DISCRETE, 100_000)[0]
         ref = np.array([1.0, 3.0, 5.0, 7.0, 9.0, 11.0])
         assert np.max(np.abs(d.d - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-3
 
     def test_unit_basis(self):
-        d = reencode.decoder_discrete(unit_basis(theta=2.0), 1000, 1.3)
+        d = reencode.decoder_bank(unit_basis(theta=2.0), [1.3], reencode.METHOD_DISCRETE, 1000)[0]
         assert abs(d.d[0] - 0.5) < 1.0 / 1000
 
     def test_matches_dense_pinv_oracle(self):
@@ -183,11 +186,12 @@ class TestDiscreteDecoder:
         for tp in (0.0, 0.3, 0.77, 1.0):
             row = int(np.floor((n - 1) * tp / 1.0)) + 1
             want = n / 1.0 * l_plus[row - 1]
-            got = reencode.decoder_discrete(basis, n, tp)
+            got = reencode.decoder_bank(basis, [tp], reencode.METHOD_DISCRETE, n)[0]
             assert np.max(np.abs(got.d - want)) < 1e-9
 
     def test_chebyshev_reference_report(self):
-        d = reencode.decoder_discrete(bases.shifted_chebyshev(6, 1.0), 1_000_000, 1.0)
+        d = reencode.decoder_bank(bases.shifted_chebyshev(6, 1.0), [1.0],
+                                  reencode.METHOD_DISCRETE, 1_000_000)[0]
         report = reencode.match_report(d.d)
         # entries 2, 4, 6 are the stable ones at q = 6; the full reference
         # list only lines up with the q = 7 decoder
@@ -198,7 +202,8 @@ class TestDiscreteDecoder:
 
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
-            reencode.decoder_discrete(bases.shifted_legendre(4, 1.0), 7, 0.5)
+            reencode.decoder_bank(bases.shifted_legendre(4, 1.0), [0.5],
+                                  reencode.METHOD_DISCRETE, 7)
 
 
 BANK_METHODS = (reencode.METHOD_HILBERT, reencode.METHOD_BASIS_INVERSE,
@@ -210,6 +215,19 @@ EXACT_METHODS = (reencode.METHOD_HILBERT, reencode.METHOD_BASIS_INVERSE)
 
 def monomials(q):
     return bases.make_basis([np.eye(q)[k] for k in range(q)], 1.0)
+
+
+def count_inversions(monkeypatch):
+    """The shapes of the matrices linalg inverts from now on, in order."""
+    calls = []
+    inverse = linalg._inverse
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return inverse(a)
+
+    monkeypatch.setattr(linalg, "_inverse", counted)
+    return calls
 
 
 class TestDecoderBank:
@@ -226,13 +244,16 @@ class TestDecoderBank:
         per_delay = {
             reencode.METHOD_HILBERT: lambda tp: reencode.decoder_hilbert_direct(basis, tp),
             reencode.METHOD_BASIS_INVERSE: lambda tp: reencode.evaluated_decoder(basis, tp),
-            reencode.METHOD_DISCRETE: lambda tp: reencode.decoder_discrete(basis, 2000, tp),
+            reencode.METHOD_DISCRETE: lambda tp: reencode.decoder_bank(
+                basis, [tp], reencode.METHOD_DISCRETE, 2000)[0],
         }
-        # a multi-column solve rounds differently from K vector solves; both
-        # are backward stable, so they agree to q * cond * eps relative
-        # (measured: at most 2e-2 of that); evaluating the duals is exact
+        # the exact methods multiply the same closed-form row by the same
+        # M^-T, so a bank is its single-delay views bit for bit; discrete-pinv
+        # solves its Gram for every delay at once, which rounds differently
+        # from one solve per delay, both backward stable, so they agree to
+        # q * gram_condition * eps relative
         eps = np.finfo(float).eps
-        gram_condition = bases.validate(basis).gram_condition
+        gram = gram_condition(basis)
         for method, single in per_delay.items():
             bank = reencode.decoder_bank(basis, tps, method, n_samples=2000)
             assert len(bank) == tps.size
@@ -240,29 +261,24 @@ class TestDecoderBank:
                 ref = single(tp)
                 assert (dec.theta_prime, dec.theta, dec.method, dec.condition) == (
                     ref.theta_prime, ref.theta, ref.method, ref.condition)
-                if method == reencode.METHOD_HILBERT:
-                    tol = q * ref.condition * eps
-                elif method == reencode.METHOD_DISCRETE:
-                    tol = q * gram_condition * eps
+                if method == reencode.METHOD_DISCRETE:
+                    tol = q * gram * eps
+                    assert np.max(np.abs(dec.d - ref.d)) <= tol * np.max(np.abs(ref.d))
                 else:
-                    tol = 0.0
-                assert np.max(np.abs(dec.d - ref.d)) <= tol * np.max(np.abs(ref.d))
+                    assert dec.d.tobytes() == ref.d.tobytes()
 
     @pytest.mark.parametrize("method", BANK_METHODS)
     @pytest.mark.parametrize("k", [1, 11, 101])
     def test_one_condition_number_per_call(self, monkeypatch, method, k):
-        calls = []
-        condition = linalg._condition
-
-        def counted(a):
-            calls.append(a.shape)
-            return condition(a)
-
-        monkeypatch.setattr(linalg, "_condition", counted)
-        bank = reencode.decoder_bank(bases.shifted_chebyshev(6, 1.0),
-                                     np.linspace(0.0, 1.0, k), method, n_samples=2000)
-        assert len(bank) == k
-        assert calls == [(6, 6)]
+        # a bank inverts M once, whatever k, and a second bank of the same
+        # basis reads the same inverse
+        calls = count_inversions(monkeypatch)
+        basis = bases.shifted_chebyshev(6, 1.0)
+        for _ in range(2):
+            bank = reencode.decoder_bank(basis, np.linspace(0.0, 1.0, k), method,
+                                         n_samples=2000)
+            assert len(bank) == k
+            assert calls == [(6, 6)]
 
     @pytest.mark.parametrize("method", BANK_METHODS)
     @pytest.mark.parametrize("tp", [-0.1, 1.5])
@@ -284,6 +300,17 @@ class TestDecoderBank:
         got = np.array([dec.d for dec in bank])
         ref = exact_decoders(np.eye(11), 1.0, tps)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_monomials_q22_valid_and_accurate(self):
+        # cond(M) = 1.9e15 is just inside the one limit; measured 2.1e-11
+        basis = monomials(22)
+        assert bases.validate(basis).ok
+        tps = np.arange(11) / 10
+        bank = reencode.decoder_bank(basis, tps, reencode.METHOD_HILBERT)
+        got = np.array([dec.d for dec in bank])
+        ref = exact_decoders(np.eye(22), 1.0, tps)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert 1e15 < bank[0].condition < 1.0 / np.finfo(float).eps
 
     @pytest.mark.parametrize("method", EXACT_METHODS)
     @pytest.mark.parametrize("q", [12, 16])
@@ -344,6 +371,59 @@ class TestDecoderBank:
         assert np.max(np.abs(got - ref)) <= 2e-3 * np.max(np.abs(ref))
 
 
+class TestOneLimit:
+    """Validity, the generator and every decoder bank read one inverse of M,
+    under linalg's one rule, and so agree on every basis."""
+
+    Q = 8
+
+    def basis_of(self, mixture):
+        legendre = np.array([[float(c) for c in row]
+                             for row in shifted_legendre_exact(self.Q)])
+        return bases.PolyBasis(q=self.Q, theta=1.0, polys=tuple(mixture @ legendre),
+                               mixture=mixture)
+
+    @pytest.mark.parametrize("kappa, ok", [
+        (1e3, True), (1e8, True), (1e12, True), (1e14, True), (1e17, False),
+    ])
+    def test_validity_generator_and_decoders_agree(self, kappa, ok):
+        mixture = random_conditioned(np.random.default_rng(3), self.Q, kappa)
+        basis = self.basis_of(mixture)
+        report = bases.validate(basis)
+        assert report.ok is ok
+        if ok:
+            # the 1-norm condition is within a factor Q of the 2-norm one
+            assert kappa / self.Q <= report.condition <= kappa * self.Q
+            assert report.condition == linalg.condition_estimate(mixture)
+            assert lti.mk_poly_basis_lti(basis).basis is basis
+            for method in BANK_METHODS:
+                bank = reencode.decoder_bank(basis, [0.0, 1.0], method, n_samples=100)
+                want = None if method == reencode.METHOD_DISCRETE else report.condition
+                assert all(np.all(np.isfinite(dec.d)) for dec in bank)
+                assert all(dec.condition == want for dec in bank)
+        else:
+            assert report.condition == np.inf
+            with pytest.raises(ValueError, match="fails validation"):
+                lti.mk_poly_basis_lti(basis)
+            for method in BANK_METHODS:
+                with pytest.raises(SingularMatrixError):
+                    reencode.decoder_bank(basis, [0.0, 1.0], method, n_samples=100)
+
+    def test_one_inversion_per_basis(self, monkeypatch):
+        calls = count_inversions(monkeypatch)
+        basis = self.basis_of(random_conditioned(np.random.default_rng(5), self.Q, 1e6))
+        assert bases.validate(basis).ok
+        system = lti.mk_poly_basis_lti(basis)
+        for method in BANK_METHODS:
+            reencode.decoder_bank(basis, np.linspace(0.0, 1.0, 11), method, n_samples=100)
+        doc = formats.document_from_system(system, "custom")
+        assert calls == [(self.Q, self.Q)]
+        assert doc.metadata["solver_condition"] == bases.validate(basis).condition
+        # what is cached cannot go stale or be changed under other callers
+        assert not basis.mixture.flags.writeable
+        assert not basis.inverse[0].flags.writeable
+
+
 def exact_family(family, q, theta, seed=0):
     """A library basis and the exact monomial coefficients, in t / theta, of
     the same polynomials."""
@@ -382,7 +462,7 @@ class TestDiscreteGaussRule:
         tps = theta * np.arange(11) / 10
         got = discrete_bank(basis, tps, n)
         ref = sampled_pinv_exact(coeffs, theta, n, tps)
-        tol = self.NODE_ULPS * q * bases.validate(basis).gram_condition * np.finfo(float).eps
+        tol = self.NODE_ULPS * q * gram_condition(basis) * np.finfo(float).eps
         assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("seed, n", [(0, 2001), (1, 100_000)])
@@ -533,7 +613,7 @@ class TestStabilityRegression:
         for q in range(1, 17):
             basis = bases.shifted_chebyshev(q, 1.0)
             sys = lti.mk_chebyshev(q, 1.0)
-            d = reencode.decoder_discrete(basis, 100_000, 1.0)
+            d = reencode.decoder_bank(basis, [1.0], reencode.METHOD_DISCRETE, 100_000)[0]
             damp = reencode.dampen(
                 sys, reencode.delay_reencoder(reencode.encoder(sys), d)
             )

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import legval
+from numpy.polynomial.polynomial import polyval
 
 from ldnkit import bases, lti, reencode, sim
 from ldnkit.errors import IncompatibleStepError
-from ldnkit.poly import eval_poly
 
-from helpers import legendre_window_taps, perfect_window_direct_sum, recur_per_sample
+from helpers import dirac, legendre_window_taps, perfect_window_direct_sum, recur_per_sample
 
 
 class TestDiscretize:
@@ -120,7 +120,7 @@ class TestSlidingTransform:
         sys = lti.mk_legendre(6, 1.0)
         dt = 1e-3
         dsys = sim.discretize(sys, dt)
-        sl = sim.sliding_transform(dsys, sim.impulse_signal(dt, 1000))
+        sl = sim.sliding_transform(dsys, sim.Signal(samples=dirac(dt, 1000), dt=dt))
         imp = sim.impulse_response(sys, dt, 1.0)
         # one discrete step of offset, so O(dt) agreement from sample 1 on
         assert np.max(np.abs(sl.states[1:] - imp.states[1:1001])) < 0.03
@@ -134,10 +134,10 @@ class TestSlidingTransform:
         p2 = bases.shifted_legendre(3, 1.0).polys[2]
         dt = 2e-5
         n = 50000
-        u = sim.Signal(samples=eval_poly(p2, np.arange(n) * dt), dt=dt)
+        u = sim.Signal(samples=polyval(np.arange(n) * dt, p2), dt=dt)
         m = sim.sliding_transform(sim.discretize(sys, dt), u).states[-1]
         tau = np.arange(n + 1) * dt
-        u_rev = eval_poly(p2, n * dt - tau)
+        u_rev = polyval(n * dt - tau, p2)
         oracle = np.trapezoid(basis.values(tau) * u_rev[None, :], tau, axis=1)
         assert np.max(np.abs(m - oracle)) < 1e-4
 
@@ -267,7 +267,7 @@ class TestPerfectWindow:
         sys = lti.mk_legendre(6, 1.0)
         dt = 1e-3
         traj = sim.perfect_window_transform(bases.shifted_legendre(6, 1.0),
-                                            sim.impulse_signal(dt, 1500))
+                                            sim.Signal(samples=dirac(dt, 1500), dt=dt))
         post = traj.states[1002:]
         assert np.max(np.abs(post)) < 1e-6 * np.max(np.abs(sys.b))
 
@@ -275,7 +275,7 @@ class TestPerfectWindow:
         sys = lti.mk_legendre(6, 1.0)
         dt = 1e-3
         traj = sim.perfect_window_transform(bases.shifted_legendre(6, 1.0),
-                                            sim.impulse_signal(dt, 999))
+                                            sim.Signal(samples=dirac(dt, 999), dt=dt))
         imp = sim.impulse_response(sys, dt, 0.999)
         assert np.max(np.abs(traj.states[1:] - imp.states[1:1000])) < 0.03
 

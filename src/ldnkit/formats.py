@@ -4,11 +4,15 @@ Everything here is deterministic: a fixed field order, fixed decimal
 formatting, and no timestamps, so identical inputs produce byte-identical
 output. System documents carry every float with 17 significant digits
 (lossless for doubles); CSV cells use the shortest decimal that round-trips.
+
+A custom system document keeps its basis under metadata["basis"], and
+SystemDocument.basis is the basis of any document, for every command to read.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import PolyBasis, make_basis
+from .bases import PolyBasis, make_basis, shifted_chebyshev, shifted_legendre
 from .errors import FormatError, NonUniformSignalError
 from .lti import LtiSystem
 from .sim import Signal, StateTrajectory
@@ -24,6 +28,9 @@ from .sim import Signal, StateTrajectory
 DOCUMENT_FORMAT_VERSION = 1
 
 SYSTEM_KINDS = ("ldn", "legendre", "chebyshev", "custom")
+
+# Kinds whose states are coordinates in the shifted Legendre basis.
+LEGENDRE_KINDS = ("ldn", "legendre")
 
 # Relative jitter of the time column above which a signal is rejected.
 UNIFORMITY_RTOL = 1e-6
@@ -98,16 +105,33 @@ class SystemDocument:
         })
 
     def to_system(self) -> LtiSystem:
-        """The stored matrices, without a basis: a document keeps none."""
+        """The stored matrices, without a basis (read that from ``basis``)."""
         return LtiSystem(a=self.a.copy(), b=self.b.copy(), theta=self.theta)
+
+    @functools.cached_property
+    def basis(self) -> PolyBasis:
+        """The basis the states are coordinates in: Legendre, Chebyshev or metadata["basis"]."""
+        if self.kind in LEGENDRE_KINDS:
+            return shifted_legendre(self.q, self.theta)
+        if self.kind == "chebyshev":
+            return shifted_chebyshev(self.q, self.theta)
+        raw = self.metadata.get("basis")
+        if not isinstance(raw, dict):
+            raise FormatError("custom system document lacks basis coefficients in metadata")
+        polys = [np.asarray(p, dtype=float) for p in raw.get("polys", [])]
+        if not polys:
+            raise FormatError("custom system document has an empty basis")
+        return make_basis(polys, float(raw.get("theta", self.theta)))
 
 
 def document_from_system(sys: LtiSystem, kind: str, metadata: dict | None = None) -> SystemDocument:
+    """A custom system that carries its basis records it, then its solver_condition."""
     if kind not in SYSTEM_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     meta = dict(metadata or {})
-    if kind == "custom" and sys.basis is not None and "solver_condition" not in meta:
-        meta["solver_condition"] = sys.basis.inverse[1]
+    if kind == "custom" and sys.basis is not None:
+        meta["basis"] = {"theta": sys.basis.theta, "polys": [p.tolist() for p in sys.basis.polys]}
+        meta.setdefault("solver_condition", sys.basis.inverse[1])
     return SystemDocument(
         kind=kind, q=sys.q, theta=sys.theta, a=sys.a.copy(), b=sys.b.copy(),
         metadata=meta,

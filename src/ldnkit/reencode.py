@@ -33,6 +33,9 @@ METHOD_HILBERT = "hilbert-direct"
 METHOD_BASIS_INVERSE = "basis-inverse"
 METHOD_DISCRETE = "discrete-pinv"
 
+# Default sample count N of the discrete-pinv method.
+DEFAULT_DISCRETE_SAMPLES = 100_000
+
 
 @dataclass(frozen=True)
 class DelayDecoder:
@@ -101,7 +104,7 @@ def legendre_decoder(q: int, theta: float, theta_prime: float) -> DelayDecoder:
 
 
 def decoder_bank(basis: PolyBasis, theta_primes, method: str,
-                 n_samples: int = 100_000) -> list[DelayDecoder]:
+                 n_samples: int = DEFAULT_DISCRETE_SAMPLES) -> list[DelayDecoder]:
     """Delay decoders of one basis-space method for every theta' at once.
 
     Each method gives Legendre decoders d_L(theta'), and the basis's are
@@ -187,12 +190,14 @@ def dampen(sys: LtiSystem, gamma: ReencoderMatrix) -> LtiSystem:
     Gamma is a continuous-time object (dm/dt = (A_c - Gamma) m + ...), while
     the stored feedback matrix is theta times the continuous one, so the
     subtraction picks up a factor of theta. With theta = 1 this is plainly
-    A - Gamma.
+    A - Gamma. ValueError unless Gamma's window is the system's.
     """
     if gamma.gamma.shape != sys.a.shape:
         raise ValueError(
             f"shape mismatch: system {sys.a.shape}, gamma {gamma.gamma.shape}"
         )
+    if gamma.theta != sys.theta:
+        raise ValueError(f"window mismatch: system theta {sys.theta}, gamma theta {gamma.theta}")
     return LtiSystem(a=sys.a - sys.theta * gamma.gamma, b=sys.b.copy(), theta=sys.theta)
 
 

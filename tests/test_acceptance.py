@@ -259,7 +259,7 @@ def test_criterion_11_cli_determinism_and_goldens(tmp_path):
     with criterion(11, 10.0, "CLI runs are byte-identical and match goldens"):
         def cli(*args):
             proc = subprocess.run(
-                [sys.executable, "-m", "ldnkit.cli", *args],
+                [sys.executable, "-W", "error", "-m", "ldnkit.cli", *args],
                 capture_output=True, text=True,
             )
             assert proc.returncode == 0, proc.stderr

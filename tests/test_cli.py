@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -14,8 +15,9 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args, cwd=None):
+    # -W error: a warning in a CLI run fails the test, as it does in process
     return subprocess.run(
-        [sys.executable, "-m", "ldnkit.cli", *args],
+        [sys.executable, "-W", "error", "-m", "ldnkit.cli", *args],
         capture_output=True, text=True, cwd=cwd,
     )
 
@@ -71,6 +73,21 @@ class TestGen:
         assert doc["kind"] == "custom"
         assert doc["metadata"]["basis"]["polys"] == [[1.0], [-1.0, 2.0]]
         assert np.allclose(doc["a"], [[0.0, 0.0], [2.0, 0.0]], atol=1e-12)
+
+    def test_custom_document_is_document_from_system(self, tmp_path):
+        from ldnkit import bases, formats, lti
+
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text(formats.basis_to_text(bases.random_basis(6, 2.0, seed=5)),
+                              encoding="utf-8")
+        result = run_cli("gen", "--kind", "custom", "--basis", str(basis_file))
+        assert result.returncode == 0, result.stderr
+        basis = formats.read_basis_file(basis_file)
+        doc = formats.document_from_system(lti.mk_poly_basis_lti(basis), "custom")
+        assert result.stdout == doc.to_text()
+        assert list(json.loads(result.stdout)["metadata"]) == ["basis", "solver_condition"]
+        parsed = formats.parse_system_document(result.stdout)
+        assert parsed.basis.mixture.tobytes() == basis.mixture.tobytes()
 
     def test_custom_without_basis_exits_2(self, tmp_path):
         result = run_cli("gen", "--kind", "custom", "--q", "2")
@@ -317,6 +334,25 @@ class TestImpulse:
 
 
 class TestSlide:
+    def test_custom_document_without_basis_slides_plain(self, workdir, tmp_path):
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text('{"theta": 1.0, "polys": [[1.0], [-1.0, 2.0]]}',
+                              encoding="utf-8")
+        gen = run_cli("gen", "--kind", "custom", "--basis", str(basis_file))
+        assert gen.returncode == 0, gen.stderr
+        doc = json.loads(gen.stdout)
+        del doc["metadata"]["basis"]
+        sys_file = tmp_path / "sys.json"
+        sys_file.write_text(json.dumps(doc), encoding="utf-8")
+        # the plain transform reads the matrices alone; the perfect window needs the basis
+        result = run_cli("slide", str(sys_file), "--signal", str(workdir / "impulse.csv"),
+                         "-o", str(tmp_path / "w.csv"))
+        assert result.returncode == 0, result.stderr
+        result = run_cli("slide", str(sys_file), "--signal", str(workdir / "impulse.csv"),
+                         "--perfect-window", "-o", str(tmp_path / "pw.csv"))
+        assert result.returncode == 2
+        assert "lacks basis coefficients" in result.stderr
+
     def test_zero_signal_zero_trajectory(self, workdir, tmp_path):
         sig = tmp_path / "zero.csv"
         with open(sig, "w", newline="\n") as f:
@@ -566,6 +602,57 @@ class TestReencode:
         ldn = json.loads((workdir / "ldn.json").read_text())
         assert block["a_dampened"] == ldn["a"]
 
+    def test_discrete_records_its_ldn_deviation(self, workdir, tmp_path):
+        # the sampled pseudo-inverse is biased by about 1/N, so its deviation
+        # from the ldn is recorded, not refused
+        out = tmp_path / "re.json"
+        result = run_cli("reencode", str(workdir / "leg.json"), "--method", "discrete-pinv",
+                         "-o", str(out))
+        assert result.returncode == 0, result.stderr
+        deviation = json.loads(out.read_text())["metadata"]["ldn_identity_max_abs_error"]
+        assert 2.1e-3 < deviation < 2.3e-3
+
+    @pytest.mark.parametrize("method", ["closed-form-legendre", "hilbert-direct",
+                                        "basis-inverse"])
+    def test_exact_method_off_the_ldn_exits_3(self, workdir, tmp_path, monkeypatch,
+                                              capsys, method):
+        from ldnkit import cli, reencode
+
+        def perturbed(build):
+            # every decoder the CLI builds is nudged off the exact one
+            def wrapper(*args, **kwargs):
+                made = build(*args, **kwargs)
+                if isinstance(made, list):
+                    return [dataclasses.replace(dec, d=dec.d + 1e-6) for dec in made]
+                return dataclasses.replace(made, d=made.d + 1e-6)
+            return wrapper
+
+        monkeypatch.setattr(reencode, "legendre_decoder", perturbed(reencode.legendre_decoder))
+        monkeypatch.setattr(reencode, "decoder_bank", perturbed(reencode.decoder_bank))
+        out = tmp_path / "re.json"
+        rc = cli.main(["reencode", str(workdir / "leg.json"), "--method", method,
+                       "-o", str(out)])
+        assert rc == 3
+        assert "deviates from the ldn matrix" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_window_mismatch_exits_2(self, tmp_path):
+        # a custom document over [0, 1] whose basis spans [0, 2]
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text('{"theta": 1.0, "polys": [[1.0], [-1.0, 2.0]]}',
+                              encoding="utf-8")
+        gen = run_cli("gen", "--kind", "custom", "--basis", str(basis_file))
+        assert gen.returncode == 0, gen.stderr
+        doc = json.loads(gen.stdout)
+        doc["metadata"]["basis"]["theta"] = 2.0
+        sys_file = tmp_path / "sys.json"
+        sys_file.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "re.json"
+        result = run_cli("reencode", str(sys_file), "-o", str(out))
+        assert result.returncode == 2
+        assert "window mismatch" in result.stderr
+        assert not out.exists()
+
     def test_chebyshev_discrete_reference_report(self, workdir, tmp_path):
         out = tmp_path / "re.json"
         result = run_cli("reencode", str(workdir / "cheb.json"),
@@ -581,7 +668,8 @@ class TestReencode:
         for threads in ("1", "2"):
             out = tmp_path / f"re{threads}.json"
             result = subprocess.run(
-                [sys.executable, "-m", "ldnkit.cli", "reencode", str(workdir / "cheb.json"),
+                [sys.executable, "-W", "error", "-m", "ldnkit.cli", "reencode",
+                 str(workdir / "cheb.json"),
                  "--method", "discrete-pinv", "--n-samples", "1000000", "-o", str(out)],
                 capture_output=True, text=True,
                 env={**os.environ, "OPENBLAS_NUM_THREADS": threads},

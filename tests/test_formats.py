@@ -60,6 +60,52 @@ class TestSystemDocument:
             formats.parse_system_document("not json at all {")
 
 
+class TestDocumentBasis:
+    """A document's basis is the one its generator carries, bit for bit."""
+
+    @pytest.mark.parametrize("theta", [1.0, 2.5])
+    @pytest.mark.parametrize("q", [1, 6, 32])
+    @pytest.mark.parametrize("kind", formats.SYSTEM_KINDS)
+    def test_is_the_generators_basis(self, kind, q, theta):
+        if kind == "custom":
+            # a custom basis comes from its monomial coefficients, as gen reads them
+            source = bases.random_basis(q, theta, seed=q)
+            system = lti.mk_poly_basis_lti(formats.parse_basis_file(formats.basis_to_text(source)))
+        else:
+            make = {"ldn": lti.mk_ldn, "legendre": lti.mk_legendre,
+                    "chebyshev": lti.mk_chebyshev}[kind]
+            system = make(q, theta)
+        expected = bases.shifted_legendre(q, theta) if kind == "ldn" else system.basis
+        text = formats.document_from_system(system, kind).to_text()
+        basis = formats.parse_system_document(text).basis
+        assert basis.theta == expected.theta
+        assert basis.mixture.tobytes() == expected.mixture.tobytes()
+        assert len(basis.polys) == len(expected.polys)
+        for got, want in zip(basis.polys, expected.polys):
+            assert got.tobytes() == want.tobytes()
+
+    def test_custom_document_writes_basis_then_condition(self):
+        basis = bases.random_basis(6, 2.0, seed=3)
+        doc = formats.document_from_system(lti.mk_poly_basis_lti(basis), "custom")
+        assert list(doc.metadata) == ["basis", "solver_condition"]
+        assert doc.metadata["basis"] == {"theta": 2.0, "polys": [p.tolist() for p in basis.polys]}
+        assert doc.metadata["solver_condition"] == basis.inverse[1]
+
+    def test_custom_system_without_basis_writes_none(self):
+        system = lti.LtiSystem(a=-np.eye(2), b=np.ones(2), theta=1.0)
+        doc = formats.document_from_system(system, "custom")
+        assert doc.metadata == {}
+        assert doc.to_system().basis is None
+        with pytest.raises(FormatError, match="lacks basis coefficients"):
+            doc.basis
+
+    def test_empty_basis(self):
+        system = lti.LtiSystem(a=-np.eye(2), b=np.ones(2), theta=1.0)
+        doc = formats.document_from_system(system, "custom", {"basis": {"polys": []}})
+        with pytest.raises(FormatError, match="empty basis"):
+            doc.basis
+
+
 class TestBasisFile:
     def test_round_trip(self):
         basis = bases.random_basis(4, 1.5, seed=2)

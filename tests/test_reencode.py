@@ -595,6 +595,12 @@ class TestDampen:
         with pytest.raises(ValueError):
             reencode.dampen(lti.mk_ldn(4), gamma)
 
+    def test_window_mismatch(self):
+        # a theta = 2 decoder would leave the theta = 1 Legendre system 5.5 off the ldn
+        gamma = reencode.delay_reencoder(np.ones(6), reencode.legendre_decoder(6, 2.0, 2.0))
+        with pytest.raises(ValueError, match="window mismatch"):
+            reencode.dampen(lti.mk_legendre(6, 1.0), gamma)
+
 
 class TestStabilityRegression:
     def test_dampened_legendre_eigenvalues(self):

@@ -218,13 +218,13 @@ def legendre_values(q: int, x) -> np.ndarray:
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    x = np.asarray(x, dtype=float)
-    out = np.empty((q,) + x.shape)
+    y = 2.0 * np.asarray(x, dtype=float) - 1.0
+    out = np.empty((q,) + np.shape(y))
     out[0] = 1.0
     if q > 1:
-        out[1] = 2.0 * x - 1.0
+        out[1] = y
     for n in range(1, q - 1):
-        out[n + 1] = ((2 * n + 1) * (2.0 * x - 1.0) * out[n] - n * out[n - 1]) / (n + 1)
+        out[n + 1] = ((2 * n + 1) * y * out[n] - n * out[n - 1]) / (n + 1)
     return out
 
 

@@ -50,13 +50,24 @@ def _write_text(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _build_system(kind: str, q: int | None, theta: float, basis: formats.PolyBasis | None):
+def _build_system(kind: str, q: int | None, theta: float | None,
+                  basis: formats.PolyBasis | None):
+    """The system gen writes; a flag the kind does not take, or one that
+    contradicts the basis file, is refused rather than ignored."""
     if kind == "custom":
         if basis is None:
             raise FormatError("--kind custom requires --basis FILE")
+        if q is not None and q != basis.q:
+            raise FormatError(f"--q {q} contradicts the basis file's {basis.q} polynomials")
+        if theta is not None and theta != basis.theta:
+            raise FormatError(f"--theta {theta!r} contradicts the basis file's "
+                              f"theta {basis.theta!r}")
         return mk_poly_basis_lti(basis)
+    if basis is not None:
+        raise FormatError(f"--basis only applies to --kind custom, not {kind}")
     if q is None:
         raise FormatError(f"--kind {kind} requires --q")
+    theta = 1.0 if theta is None else theta
     return {"ldn": mk_ldn, "legendre": mk_legendre, "chebyshev": mk_chebyshev}[kind](q, theta)
 
 
@@ -211,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a system document")
     p.add_argument("--kind", required=True, choices=formats.SYSTEM_KINDS)
     p.add_argument("--q", type=int, help="system order (named kinds)")
-    p.add_argument("--theta", type=float, default=1.0, help="window length (s)")
-    p.add_argument("--basis", help="basis file (JSON), required for --kind custom")
+    p.add_argument("--theta", type=float,
+                   help="window length (s), default 1 (custom: the basis file's)")
+    p.add_argument("--basis", help="basis file (JSON), for --kind custom only")
     p.add_argument("-o", "--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_gen)
 

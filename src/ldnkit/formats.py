@@ -409,8 +409,9 @@ def _axis_span(lo: float, hi: float) -> tuple[float, float]:
 def render_svg(header, rows: np.ndarray) -> str:
     """Line chart: first column on the x axis, one polyline per other column.
 
-    Output is fully deterministic: fixed canvas, fixed palette, fixed
-    coordinate formatting, no timestamps or generator tags.
+    Output is fully deterministic: fixed canvas and palette, no timestamps or
+    generator tags, and coordinates as %.2f, the mapped double correctly rounded
+    with ties to even; every polyline of a chart shares its formatted x.
     """
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 2:
         raise FormatError("need at least one data row and two columns to plot")
@@ -440,11 +441,11 @@ def render_svg(header, rows: np.ndarray) -> str:
             f'<line x1="{_SVG_MARGIN}" y1="{zero}" x2="{_SVG_WIDTH - _SVG_MARGIN}" '
             f'y2="{zero}" stroke="#eeeeee"/>'
         )
-    # sx and sy map an array bit for bit like a scalar; px serves every polyline
-    px = [f"{v:.2f}," for v in sx(x).tolist()]
+    # sx, sy map arrays bit for bit like scalars; %.2f rounds as format's .2f
+    template = " ".join(f"{v:.2f},%.2f" for v in sx(x).tolist())
     for col, py in enumerate(sy(ys).T.tolist()):
         colour = _PALETTE[col % len(_PALETTE)]
-        points = " ".join(map("{}{:.2f}".format, px, py))
+        points = template % tuple(py)
         parts.append(
             f'<polyline fill="none" stroke="{colour}" stroke-width="1.5" '
             f'points="{points}"/>'

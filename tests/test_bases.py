@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gauss_legendre_gram, legendre_value_recurrence, shifted_legendre_exact
+from helpers import (
+    gauss_legendre_gram,
+    legendre_value_recurrence,
+    polyval_exact,
+    shifted_legendre_exact,
+)
 from ldnkit import bases
 from ldnkit.errors import GenerationFailedError
 
@@ -209,3 +214,23 @@ class TestLegendreValues:
         grid = np.linspace(0.0, 1.0, 21)
         b = bases.shifted_legendre(9, 1.0)
         assert np.allclose(bases.legendre_values(9, grid), b.values(grid), atol=1e-11)
+
+    @pytest.mark.parametrize("q", [1, 2, 6, 16, 33, 64])
+    @pytest.mark.parametrize("shape", ["0-d", "1-d", "2-d"])
+    def test_matches_value_recurrence_bitwise(self, q, shape):
+        rng = np.random.default_rng(q)
+        x = {
+            "0-d": np.array(0.3),
+            "1-d": np.concatenate(([0.0, 1.0, 0.5], rng.random(29))),
+            "2-d": rng.random((4, 7)),
+        }[shape]
+        got, want = bases.legendre_values(q, x), legendre_value_recurrence(q, x)
+        assert got.shape == want.shape == (q,) + x.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_matches_exact_fractions_at_dyadic_points(self):
+        # every degree below 24 at x = k / 64, against Horner in exact fractions
+        q, grid = 24, np.arange(65) / 64
+        coeffs = shifted_legendre_exact(q)
+        want = np.array([[polyval_exact(c, x) for x in grid] for c in coeffs])
+        assert np.max(np.abs(bases.legendre_values(q, grid) - want)) <= 1e-13

@@ -46,6 +46,14 @@ def workdir(tmp_path_factory):
 
 
 class TestGen:
+    @pytest.fixture
+    def three_polys(self, tmp_path):
+        """A three-polynomial basis file over theta = 1."""
+        path = tmp_path / "basis.json"
+        path.write_text('{"theta": 1.0, "polys": [[1.0], [-1.0, 2.0], [0.0, 0.0, 1.0]]}',
+                        encoding="utf-8")
+        return str(path)
+
     def test_ldn_document_matrix(self, workdir):
         doc = json.loads((workdir / "ldn.json").read_text())
         assert doc["kind"] == "ldn" and doc["q"] == 6
@@ -101,6 +109,29 @@ class TestGen:
         result = run_cli("gen", "--kind", "custom", "--basis", str(basis_file))
         assert result.returncode == 0
         assert json.loads(result.stdout)["q"] == 2
+
+    def test_custom_q_contradicting_basis_exits_2(self, three_polys):
+        result = run_cli("gen", "--kind", "custom", "--basis", three_polys, "--q", "5")
+        assert result.returncode == 2
+        assert "--q 5 contradicts" in result.stderr
+        assert result.stdout == ""
+
+    def test_custom_theta_contradicting_basis_exits_2(self, three_polys):
+        result = run_cli("gen", "--kind", "custom", "--basis", three_polys, "--theta", "2")
+        assert result.returncode == 2
+        assert "--theta 2.0 contradicts" in result.stderr
+        assert result.stdout == ""
+        # the file's own theta is accepted
+        result = run_cli("gen", "--kind", "custom", "--basis", three_polys,
+                         "--theta", "1", "--q", "3")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["theta"] == 1.0
+
+    def test_basis_on_named_kind_exits_2(self, three_polys):
+        result = run_cli("gen", "--kind", "ldn", "--q", "6", "--basis", three_polys)
+        assert result.returncode == 2
+        assert "--basis only applies to --kind custom" in result.stderr
+        assert result.stdout == ""
 
     def test_named_kind_needs_q(self):
         result = run_cli("gen", "--kind", "ldn")

@@ -299,10 +299,20 @@ def _with(rows, index, value):
     return rows
 
 
-def _render_outcome(render, rows):
-    """The text (or exception type) and the warnings of one render; numpy names a
-    scalar op's warning "scalar divide" where an array op's says "divide"."""
-    header = ["t"] + [f"m_{n}" for n in range(rows.shape[1] - 1)]
+def _dyadic_rows():
+    """33 rows x = k / 32 and three columns of j / 32, each axis spanning [0, 1]:
+    the canvas maps x to 50 + 700 x and y to 430 - 380 y, multiples of 1 / 8."""
+    ys = np.random.default_rng(32).integers(0, 33, size=(33, 3)) / 32
+    ys[0, 0], ys[1, 1] = 0.0, 1.0
+    return np.column_stack((np.arange(33) / 32, ys))
+
+
+def _render_outcome(render, chart):
+    """The text (or exception type) and the warnings of one render of a chart,
+    its rows or a (header, rows) pair; numpy names a scalar op's warning
+    "scalar divide" where an array op's says "divide"."""
+    header, rows = chart if isinstance(chart, tuple) else (None, chart)
+    header = header or ["t"] + [f"m_{n}" for n in range(rows.shape[1] - 1)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -320,6 +330,9 @@ _CHARTS = {
     "constant-column": _with(_chart_rows(6, 2001), (slice(None), 2), 0.5),
     "all-constant": _with(_chart_rows(6, 50), (slice(None), slice(1, None)), -2.0),
     "constant-x": _with(_chart_rows(6, 50), (slice(None), 0), 3.0),
+    "dyadic-ties": _dyadic_rows(),
+    "percent-label": (["t", "u@0.5%", "%s", "m_%%d"], _chart_rows(3, 50)),
+    "rows1-cols12": _chart_rows(11, 1),
     **{
         f"{where}-{value}": _with(_chart_rows(6, 50), index, value)
         for value in (np.nan, np.inf, -np.inf)
@@ -335,3 +348,36 @@ def test_svg_matches_per_point(name):
     rows = _CHARTS[name]
     assert _render_outcome(formats.render_svg, rows) == _render_outcome(
         render_svg_per_point, rows)
+
+
+def test_dyadic_chart_lands_on_ties():
+    # a coordinate c is a tie at two decimals when 200 c is an odd integer
+    rows = _CHARTS["dyadic-ties"]
+    x, ys = rows[:, 0], rows[:, 1:]
+    assert x.min() == ys.min() == 0.0 and x.max() == ys.max() == 1.0
+    for coords in (50 + 700 * x, 430 - 380 * ys):
+        assert np.any(200 * coords % 2 == 1)
+    # x = 3 / 32 lands on 115.625, which rounds to even
+    assert "115.62," in formats.render_svg(["t", "a", "b", "c"], rows)
+
+
+def test_svg_matches_per_point_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    from hypothesis.extra import numpy as hnp
+
+    cells = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e-300, 1e-300),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+        st.integers(-2**20, 2**20).map(lambda k: k + 0.5),
+    )
+    shapes = st.tuples(st.integers(1, 40), st.integers(2, 12))
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @hypothesis.given(hnp.arrays(np.float64, shapes, elements=cells))
+    def check(rows):
+        assert _render_outcome(formats.render_svg, rows) == _render_outcome(
+            render_svg_per_point, rows)
+
+    check()

@@ -46,6 +46,21 @@ def full_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _number_list(values) -> str | None:
+    """A list of numbers as one line, in one pass; None at the first other item."""
+    texts = []
+    for v in values:
+        if isinstance(v, (float, np.floating)):
+            texts.append(format(float(v), ".17g"))  # full_float, without the call
+        elif isinstance(v, bool):
+            texts.append("true" if v else "false")
+        elif isinstance(v, (int, np.integer)):
+            texts.append(str(int(v)))
+        else:
+            return None
+    return "[" + ", ".join(texts) + "]"
+
+
 def _render(value, indent: int) -> str:
     """Small JSON renderer with full-precision floats and stable key order."""
     pad = "  " * indent
@@ -62,8 +77,9 @@ def _render(value, indent: int) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(isinstance(v, (int, float, np.integer, np.floating)) for v in value):
-            return "[" + ", ".join(_render(v, 0) for v in value) + "]"
+        line = _number_list(value)
+        if line is not None:
+            return line
         inner = ",\n".join(pad + "  " + _render(v, indent + 1) for v in value)
         return "[\n" + inner + "\n" + pad + "]"
     if isinstance(value, dict):
@@ -396,6 +412,53 @@ def _fmt_coord(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _fixed2(v: np.ndarray) -> np.ndarray:
+    """``'%.2f' % x`` for each double x of a 1-D array, as the rows of a uint8
+    array that read as that text once their NUL bytes are removed.
+
+    The cents are |x|·100 correctly rounded, ties to even: ``rint`` of the
+    float product, except within 1e-6 of a half-cent or from 2^32 cents on,
+    where that product's own rounding error nears it; there they come exactly
+    from the integer mantissa, mant·100 shifted with round-half-even. nan,
+    ±inf and values of 2^62 cents or more, which no finite chart maps to,
+    take printf itself.
+    """
+    a = np.abs(v)
+    with np.errstate(invalid="ignore", over="ignore"):
+        c = a * 100
+        rounded = np.rint(c)
+        odd = ~(c < 2.0**62)
+        exact = ~odd & ~((np.abs(c - rounded) < 0.5 - 1e-6) & (c < 2.0**32))
+    cents = np.where(odd, 0, rounded).astype(np.int64)
+    if exact.any():
+        m, e = np.frexp(a[exact])
+        p = (m * 2.0**53).astype(np.int64) * 100
+        s = np.clip(53 - e, 1, 62)
+        q = p >> s
+        r = p - (q << s)
+        half = np.int64(1) << (s - 1)
+        q += (r > half) | ((r == half) & (q % 2 == 1))
+        cents[exact] = np.where(e >= 53, p << np.maximum(e - 53, 0), q)
+    # column 0 holds the sign, column j < nd - 1 the digit of 10^(nd - j) cents
+    nd = max(3, len(str(cents.max())))
+    out = np.empty((v.size, nd + 2), np.uint8)
+    out[:, 0] = np.signbit(v) * 45
+    out[:, nd - 1] = 46
+    rest = cents
+    for j in (nd + 1, nd, *range(nd - 2, 0, -1)):
+        rest, digit = np.divmod(rest, 10)
+        out[:, j] = digit + 48
+    for j in range(1, nd - 2):
+        out[cents < 10 ** (nd - j), j] = 0
+    if odd.any():
+        words = np.array([b"%.2f" % w for w in v[odd].tolist()])
+        width = max(out.shape[1], words.itemsize)
+        out = np.pad(out, ((0, 0), (width - out.shape[1], 0)))
+        out[odd] = 0
+        out[odd, -words.itemsize:] = words.view(np.uint8).reshape(-1, words.itemsize)
+    return out
+
+
 def _axis_span(lo: float, hi: float) -> tuple[float, float]:
     """The range an axis spans. A constant column's is [lo, lo + 1], or, where
     adding 1 leaves lo unchanged (|lo| >= 2^53), the range from 0 to lo."""
@@ -411,7 +474,8 @@ def render_svg(header, rows: np.ndarray) -> str:
 
     Output is fully deterministic: fixed canvas and palette, no timestamps or
     generator tags, and coordinates as %.2f, the mapped double correctly rounded
-    with ties to even; every polyline of a chart shares its formatted x.
+    with ties to even, formatted a column at a time by ``_fixed2``; every
+    polyline of a chart shares its formatted x.
     """
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 2:
         raise FormatError("need at least one data row and two columns to plot")
@@ -441,11 +505,14 @@ def render_svg(header, rows: np.ndarray) -> str:
             f'<line x1="{_SVG_MARGIN}" y1="{zero}" x2="{_SVG_WIDTH - _SVG_MARGIN}" '
             f'y2="{zero}" stroke="#eeeeee"/>'
         )
-    # sx, sy map arrays bit for bit like scalars; %.2f rounds as format's .2f
-    template = " ".join(f"{v:.2f},%.2f" for v in sx(x).tolist())
-    for col, py in enumerate(sy(ys).T.tolist()):
+    # sx, sy map arrays bit for bit like scalars. A point is its x field, a
+    # comma, its y field and a space; one column at a time, NULs stripped.
+    px = _fixed2(sx(x))
+    comma, space = (np.full((len(x), 1), c, np.uint8) for c in b", ")
+    for col in range(ys.shape[1]):
         colour = _PALETTE[col % len(_PALETTE)]
-        points = template % tuple(py)
+        points = np.concatenate((px, comma, _fixed2(sy(ys[:, col])), space), axis=1)
+        points = points.tobytes().translate(None, b"\0")[:-1].decode("ascii")
         parts.append(
             f'<polyline fill="none" stroke="{colour}" stroke-width="1.5" '
             f'points="{points}"/>'

@@ -5,6 +5,7 @@ checks: quadrature, exact fractions, exact combinatorial inverses, and
 reference constructions via numpy building blocks.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -230,6 +231,42 @@ def recur_per_sample(ad, m0, n_steps, bd=None, u=None):
         m = ad @ m if u is None else ad @ m + bd * u[k]
         states[k + 1] = m
     return states
+
+
+def render_block_recursive(body):
+    """A JSON block one value per call: floats as .17g, bools as true/false,
+    numpy integers as ints, a list of numbers on one line, two-space indents."""
+
+    def render(value, indent):
+        pad = "  " * indent
+        if isinstance(value, bool) or value is None:
+            return json.dumps(value)
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        if isinstance(value, str):
+            return json.dumps(value)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            if all(isinstance(v, (int, float, np.integer, np.floating)) for v in value):
+                return "[" + ", ".join(render(v, 0) for v in value) + "]"
+            inner = ",\n".join(pad + "  " + render(v, indent + 1) for v in value)
+            return "[\n" + inner + "\n" + pad + "]"
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = ",\n".join(
+                f"{pad}  {json.dumps(str(k))}: {render(v, indent + 1)}"
+                for k, v in value.items()
+            )
+            return "{\n" + inner + "\n" + pad + "}"
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+    return render(body, 0) + "\n"
 
 
 def render_svg_per_point(header, rows):

@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from ldnkit import bases, formats, lti, sim
+from ldnkit import bases, formats, lti, reencode, sim
 from ldnkit.errors import FormatError, NonUniformSignalError
 
-from helpers import csv_text, render_svg_per_point
+from helpers import csv_text, render_block_recursive, render_svg_per_point
 
 
 class TestSystemDocument:
@@ -58,6 +58,49 @@ class TestSystemDocument:
     def test_rejects_junk(self):
         with pytest.raises(FormatError):
             formats.parse_system_document("not json at all {")
+
+
+def _reencode_body():
+    """The body the CLI's reencode writes for a q = 6 Chebyshev system."""
+    system, basis = lti.mk_chebyshev(6, 1.0), bases.shifted_chebyshev(6, 1.0)
+    decoder = reencode.decoder_bank(basis, [1.0], reencode.METHOD_HILBERT)[0]
+    e = basis.values(1.0)[:, 0]
+    gamma = reencode.delay_reencoder(e, decoder)
+    return {
+        "format_version": formats.DOCUMENT_FORMAT_VERSION, "kind": "chebyshev",
+        "q": 6, "theta": 1.0, "e": e, "d": decoder.d, "gamma": gamma.gamma,
+        "a_dampened": reencode.dampen(system, gamma).a, "b": system.b,
+        "metadata": {"method": reencode.METHOD_HILBERT,
+                     "decoder_condition": decoder.condition,
+                     "reference_match": reencode.match_report(decoder.d).split("\n")},
+    }
+
+
+class TestRenderBlock:
+    @pytest.mark.parametrize("body", [
+        _reencode_body(),
+        {"metadata": {"none": None, "flags": [True, False], "ok": True, "note": "a \"b\""}},
+        {"ints": [np.int64(3), 2, -7], "one": np.int64(-5), "mixed": [1, 2.5, True, np.int64(4)]},
+        {"zeros": [-0.0, 0.0], "neg": -0.0, "f32": np.float32(0.1), "f64": [np.float64(1 / 3)]},
+        {"special": [np.nan, np.inf, -np.inf], "tiny": 5e-324, "huge": 1.7976931348623157e308},
+        {"empty_list": [], "empty_dict": {}, "empty_array": np.zeros(0),
+         "empty_rows": np.zeros((2, 0)), "nested": [[], {}, [[]]]},
+        {"matrix": np.arange(6.0).reshape(2, 3), "deep": {"a": [{"b": [1.5, "x"]}]},
+         "tuple": (1, 2.0), "strings": ["s", 1.0]},
+    ])
+    def test_matches_recursive_renderer(self, body):
+        assert formats.render_block(body) == render_block_recursive(body)
+
+    def test_bools_in_a_number_list(self):
+        assert formats.render_block({"v": [1.0, True, np.int64(2)]}) == (
+            '{\n  "v": [1, true, 2]\n}\n')
+
+    @pytest.mark.parametrize("value", [object(), np.bool_(True), {1.0: set()}])
+    def test_rejects_other_types(self, value):
+        with pytest.raises(TypeError):
+            formats.render_block({"x": value})
+        with pytest.raises(TypeError):
+            render_block_recursive({"x": value})
 
 
 class TestDocumentBasis:
@@ -287,6 +330,56 @@ class TestSvg:
             formats.render_svg(["t"], np.zeros((3, 1)))
 
 
+def _fixed2_texts(values):
+    """The kernel's rows as text, NULs dropped, with warnings raised as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = formats._fixed2(np.asarray(values, dtype=float))
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows]
+
+
+def _printf(values):
+    return ["%.2f" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+class TestFixed2:
+    """formats._fixed2 against printf's %.2f, value by value."""
+
+    def test_half_cents_and_their_neighbours(self):
+        half = np.arange(160_001) / 200
+        for values in (half, np.nextafter(half, np.inf), np.nextafter(half, -np.inf), -half):
+            assert _fixed2_texts(values) == _printf(values)
+
+    def test_dyadic_ties(self):
+        k = np.arange(1, 4096)
+        values = np.concatenate([k / 2.0**j for j in range(1, 40)])
+        assert _fixed2_texts(values) == _printf(values)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, -0.004, -0.005, -0.006, 0.005, 0.015, 0.025, 1.005, 2.675],
+        [5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1e-300],
+        [9.995, 99.995, 999.995, -9.995, -99.995, -999.995, 9.994, 99.996, 0.995],
+        [2.0**52 + 0.5, 2.0**53, 2.0**60 / 100, 2.0**62 / 100, -2.0**63 / 100],
+        [1e15, 1e17, 1e20, -1e300, 1.7976931348623157e308, -1e22 / 3],
+        [np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0],
+    ])
+    def test_edge_values(self, values):
+        assert _fixed2_texts(values) == _printf(values)
+
+    def test_all_doubles_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+        from hypothesis.extra import numpy as hnp
+
+        @hypothesis.settings(derandomize=True, deadline=None, max_examples=200, database=None)
+        @hypothesis.given(hnp.arrays(np.float64, st.integers(1, 64),
+                                     elements=st.floats(allow_nan=False, allow_infinity=False)))
+        def check(values):
+            assert _fixed2_texts(values) == _printf(values)
+
+        check()
+
+
 def _chart_rows(q, n, scale=1.0):
     """A time column k / 1000 and q random columns, all times scale."""
     rng = np.random.default_rng(1000 * q + n)
@@ -305,6 +398,15 @@ def _dyadic_rows():
     ys = np.random.default_rng(32).integers(0, 33, size=(33, 3)) / 32
     ys[0, 0], ys[1, 1] = 0.0, 1.0
     return np.column_stack((np.arange(33) / 32, ys))
+
+
+def _wide_rows():
+    """perfect_window's 33 columns: x from 0 to 5, mapped from 50.00 across
+    100.00 to 750.00, and 32 others, one constant and one all negative."""
+    rows = _chart_rows(32, 5001)
+    rows[:, 4] = 0.25
+    rows[:, 9] = -1 - np.abs(rows[:, 9])
+    return rows
 
 
 def _render_outcome(render, chart):
@@ -333,6 +435,7 @@ _CHARTS = {
     "dyadic-ties": _dyadic_rows(),
     "percent-label": (["t", "u@0.5%", "%s", "m_%%d"], _chart_rows(3, 50)),
     "rows1-cols12": _chart_rows(11, 1),
+    "rows5001-cols33": _wide_rows(),
     **{
         f"{where}-{value}": _with(_chart_rows(6, 50), index, value)
         for value in (np.nan, np.inf, -np.inf)

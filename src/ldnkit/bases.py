@@ -87,6 +87,11 @@ class ValidityReport:
         return math.isfinite(self.condition)
 
 
+def _check_q(q: int) -> None:
+    if q < 1:
+        raise ValueError("q must be at least 1")
+
+
 def _check_theta(theta: float) -> None:
     if not (np.isfinite(theta) and theta > 0):
         raise ValueError(f"theta must be finite and positive, got {theta}")
@@ -174,14 +179,11 @@ def _chebyshev_mixture(q: int) -> np.ndarray:
 
 def _rescale_window(coeffs, theta: float) -> tuple:
     """Map polynomials in x = t / theta to polynomials in t."""
-    if theta == 1.0:
-        return tuple(c.copy() for c in coeffs)
     return tuple(c / theta ** np.arange(c.size) for c in coeffs)
 
 
 def _shifted_family(q: int, theta: float, chebyshev: bool) -> PolyBasis:
-    if q < 1:
-        raise ValueError("q must be at least 1")
+    _check_q(q)
     _check_theta(theta)
     coeffs = _monomial_family(q, chebyshev)
     return PolyBasis(
@@ -216,8 +218,7 @@ def legendre_values(q: int, x) -> np.ndarray:
     at x = 1, alternating signs at x = 0) for any q, unlike evaluation
     through monomial coefficients.
     """
-    if q < 1:
-        raise ValueError("q must be at least 1")
+    _check_q(q)
     y = 2.0 * np.asarray(x, dtype=float) - 1.0
     out = np.empty((q,) + np.shape(y))
     out[0] = 1.0
@@ -251,8 +252,7 @@ def random_basis(q: int, theta: float = 1.0, seed: int = 0) -> PolyBasis:
     derived from it for the file form. Invalid draws are redrawn from the
     same stream, up to a bounded number of retries.
     """
-    if q < 1:
-        raise ValueError("q must be at least 1")
+    _check_q(q)
     _check_theta(theta)
     rng = np.random.default_rng(seed)
     legendre = _monomial_family(q)

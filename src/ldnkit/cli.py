@@ -151,11 +151,14 @@ def _load_system_or_basis(path) -> formats.SystemDocument:
 def _cmd_reencode(args) -> int:
     doc = _load_system_or_basis(args.system)
     system, basis = doc.to_system(), doc.basis
-    legendre = doc.kind in formats.LEGENDRE_KINDS
-    method = args.method or (reencode.METHOD_LEGENDRE if legendre else reencode.METHOD_HILBERT)
+    if doc.kind == "ldn":
+        raise ValueError("an ldn document is already dampened; reencode the legendre "
+                         "generator (gen --kind legendre) instead")
+    method = args.method or (reencode.METHOD_LEGENDRE if doc.kind == "legendre"
+                             else reencode.METHOD_HILBERT)
     decoder = _decoders(doc, method, [doc.theta], args.n_samples)[0]
     # the impulse response at the window end is the basis there, p(theta);
-    # exactly all ones for the Legendre kinds
+    # exactly all ones for the Legendre kind
     e = basis.values(doc.theta)[:, 0]
     gamma = reencode.delay_reencoder(e, decoder)
     dampened = reencode.dampen(system, gamma)

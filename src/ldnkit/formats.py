@@ -417,28 +417,16 @@ def _fixed2(v: np.ndarray) -> np.ndarray:
     array that read as that text once their NUL bytes are removed.
 
     The cents are |x|·100 correctly rounded, ties to even: ``rint`` of the
-    float product, except within 1e-6 of a half-cent or from 2^32 cents on,
-    where that product's own rounding error nears it; there they come exactly
-    from the integer mantissa, mant·100 shifted with round-half-even. nan,
-    ±inf and values of 2^62 cents or more, which no finite chart maps to,
-    take printf itself.
+    float product c. Each n + 1/2 below 2^52 is a double and rounding is
+    monotone, so c reaches the far side of a half-cent only by landing on it
+    exactly; elsewhere rint(c) is the correct cents. Those exact halves
+    (c - rint(c) is exact), c of 2^32 or more, nan and ±inf take printf itself.
     """
-    a = np.abs(v)
     with np.errstate(invalid="ignore", over="ignore"):
-        c = a * 100
+        c = np.abs(v) * 100
         rounded = np.rint(c)
-        odd = ~(c < 2.0**62)
-        exact = ~odd & ~((np.abs(c - rounded) < 0.5 - 1e-6) & (c < 2.0**32))
+        odd = ~(c < 2.0**32) | (np.abs(c - rounded) == 0.5)
     cents = np.where(odd, 0, rounded).astype(np.int64)
-    if exact.any():
-        m, e = np.frexp(a[exact])
-        p = (m * 2.0**53).astype(np.int64) * 100
-        s = np.clip(53 - e, 1, 62)
-        q = p >> s
-        r = p - (q << s)
-        half = np.int64(1) << (s - 1)
-        q += (r > half) | ((r == half) & (q % 2 == 1))
-        cents[exact] = np.where(e >= 53, p << np.maximum(e - 53, 0), q)
     # column 0 holds the sign, column j < nd - 1 the digit of 10^(nd - j) cents
     nd = max(3, len(str(cents.max())))
     out = np.empty((v.size, nd + 2), np.uint8)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import PolyBasis, shifted_chebyshev, shifted_legendre, validate
+from .bases import (PolyBasis, _check_q, _check_theta, shifted_chebyshev, shifted_legendre,
+                    validate)
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,6 @@ class LtiSystem:
         return self.b.size
 
 
-def _check_args(q: int, theta: float) -> None:
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    if not (np.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be finite and positive, got {theta}")
-
-
 def _alternating(q: int) -> np.ndarray:
     # (B)_i = (-1)^(i+1) with 1-based i
     return (-1.0) ** np.arange(q)
@@ -56,7 +50,8 @@ def mk_ldn(q: int, theta: float = 1.0) -> LtiSystem:
     With 1-based indices: (A)_ij = (2j-1) * (-1 if i <= j or i+j even,
     else +1), (B)_i = (-1)^(i+1).
     """
-    _check_args(q, theta)
+    _check_q(q)
+    _check_theta(theta)
     i = np.arange(1, q + 1)[:, None]
     j = np.arange(1, q + 1)[None, :]
     sign = np.where((i > j) & ((i + j) % 2 == 1), 1.0, -1.0)
@@ -70,12 +65,11 @@ def mk_legendre(q: int, theta: float = 1.0) -> LtiSystem:
     (B)_i = (-1)^(i+1). Strictly lower triangular, so the system is not
     asymptotically stable; it exists to be dampened.
     """
-    _check_args(q, theta)
+    basis = shifted_legendre(q, theta)  # checks q and theta
     i = np.arange(1, q + 1)[:, None]
     j = np.arange(1, q + 1)[None, :]
     a = np.where((i > j) & ((i + j) % 2 == 1), (4 * j - 2).astype(float), 0.0)
-    return LtiSystem(a=a, b=_alternating(q), theta=float(theta),
-                     basis=shifted_legendre(q, theta))
+    return LtiSystem(a=a, b=_alternating(q), theta=basis.theta, basis=basis)
 
 
 def mk_chebyshev(q: int, theta: float = 1.0) -> LtiSystem:
@@ -84,13 +78,12 @@ def mk_chebyshev(q: int, theta: float = 1.0) -> LtiSystem:
     With 1-based indices: (A)_ij = (2i-2) * (1 if j == 1 else 2) for i > j
     with i+j odd, else 0; (B)_i = (-1)^(i+1).
     """
-    _check_args(q, theta)
+    basis = shifted_chebyshev(q, theta)  # checks q and theta
     i = np.arange(1, q + 1)[:, None]
     j = np.arange(1, q + 1)[None, :]
     weight = np.where(j == 1, 1.0, 2.0)
     a = np.where((i > j) & ((i + j) % 2 == 1), (2 * i - 2) * weight, 0.0)
-    return LtiSystem(a=a, b=_alternating(q), theta=float(theta),
-                     basis=shifted_chebyshev(q, theta))
+    return LtiSystem(a=a, b=_alternating(q), theta=basis.theta, basis=basis)
 
 
 def mk_poly_basis_lti(basis: PolyBasis) -> LtiSystem:

@@ -633,6 +633,16 @@ class TestReencode:
         ldn = json.loads((workdir / "ldn.json").read_text())
         assert block["a_dampened"] == ldn["a"]
 
+    def test_ldn_document_exits_2(self, workdir, tmp_path):
+        # the ldn is the dampened legendre generator: its all-ones encoder is
+        # the generator's, so a second dampening would be meaningless
+        out = tmp_path / "re.json"
+        result = run_cli("reencode", str(workdir / "ldn.json"), "-o", str(out))
+        assert result.returncode == 2
+        assert "legendre" in result.stderr and "already dampened" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_discrete_records_its_ldn_deviation(self, workdir, tmp_path):
         # the sampled pseudo-inverse is biased by about 1/N, so its deviation
         # from the ldn is recorded, not refused

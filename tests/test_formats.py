@@ -346,8 +346,25 @@ class TestFixed2:
     """formats._fixed2 against printf's %.2f, value by value."""
 
     def test_half_cents_and_their_neighbours(self):
-        half = np.arange(160_001) / 200
+        # every half-cent up to 800, then half-cents sampled up to 2^32 cents,
+        # where the float product |x|·100 lands on the half itself or on
+        # either side of it
+        rng = np.random.default_rng(32)
+        n = np.concatenate((rng.integers(0, 2**32, 100_000),
+                            np.floor(2.0 ** rng.uniform(0, 32, 100_000))))
+        half = np.concatenate((np.arange(160_001) / 200, (n + 0.5) / 100))
+        products = half * 100
+        assert np.count_nonzero(np.abs(products - np.rint(products)) == 0.5) > 10_000
         for values in (half, np.nextafter(half, np.inf), np.nextafter(half, -np.inf), -half):
+            assert _fixed2_texts(values) == _printf(values)
+
+    @pytest.mark.parametrize("cents", [2.0**32, 2.0**52, 2.0**53, 2.0**63])
+    def test_both_sides_of_a_power_of_two_cents(self, cents):
+        # 128 consecutive doubles around cents / 100, and half-cents past it
+        edge = np.array([cents / 100])
+        ulps = (edge.view(np.int64) + np.arange(-64, 64)).view(np.float64)
+        halves = (cents + np.arange(-64, 64) + 0.5) / 100
+        for values in (ulps, halves, -ulps, -halves):
             assert _fixed2_texts(values) == _printf(values)
 
     def test_dyadic_ties(self):

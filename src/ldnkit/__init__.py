@@ -26,14 +26,13 @@ from .errors import (
     NonUniformSignalError,
     SingularMatrixError,
 )
-from .linalg import condition_estimate, expm
+from .linalg import expm
 from .lti import (
     LtiSystem,
     mk_chebyshev,
     mk_ldn,
     mk_legendre,
     mk_poly_basis_lti,
-    to_original_ldn,
 )
 from .poly import hilbert
 from .reencode import (
@@ -64,10 +63,8 @@ __all__ = [
     "PolyBasis", "ValidityReport", "legendre_values", "make_basis",
     "random_basis", "shifted_chebyshev", "shifted_legendre", "validate",
     "FormatError", "GenerationFailedError", "IncompatibleStepError",
-    "LdnkitError", "NonUniformSignalError", "SingularMatrixError",
-    "condition_estimate", "expm",
-    "LtiSystem", "mk_chebyshev", "mk_ldn", "mk_legendre",
-    "mk_poly_basis_lti", "to_original_ldn",
+    "LdnkitError", "NonUniformSignalError", "SingularMatrixError", "expm",
+    "LtiSystem", "mk_chebyshev", "mk_ldn", "mk_legendre", "mk_poly_basis_lti",
     "hilbert",
     "DelayDecoder", "ReencoderMatrix", "dampen",
     "decoder_bank", "decoder_hilbert_direct", "delay_reencoder",

@@ -178,8 +178,9 @@ def _chebyshev_mixture(q: int) -> np.ndarray:
 
 
 def _rescale_window(coeffs, theta: float) -> tuple:
-    """Map polynomials in x = t / theta to polynomials in t."""
-    return tuple(c / theta ** np.arange(c.size) for c in coeffs)
+    """Polynomials in x = t / theta as polynomials in t; inf or 0 past the float range."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return tuple(c / float(theta) ** np.arange(c.size) for c in coeffs)
 
 
 def _shifted_family(q: int, theta: float, chebyshev: bool) -> PolyBasis:

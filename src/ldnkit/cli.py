@@ -34,13 +34,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_DATA = 4
 
-_METHODS = (
-    reencode.METHOD_LEGENDRE,
-    reencode.METHOD_HILBERT,
-    reencode.METHOD_BASIS_INVERSE,
-    reencode.METHOD_DISCRETE,
-)
-
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
@@ -242,15 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slide", help="run a sliding transform over a signal CSV")
     p.add_argument("system", help="system document file")
     p.add_argument("--signal", required=True, help="input CSV with header t,u")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--window", action="store_true",
-        help="plain sliding transform (default)",
-    )
-    mode.add_argument(
-        "--perfect-window", action="store_true",
-        help="exact FIR window transform: the basis cut off at theta",
-    )
+    p.add_argument("--perfect-window", action="store_true", help="exact FIR window transform, "
+                   "the basis cut off at theta (default: the plain sliding transform)")
     p.add_argument("-o", "--out", required=True, help="output trajectory CSV")
     p.set_defaults(func=_cmd_slide)
 
@@ -261,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--theta-prime-grid", type=int, default=11, metavar="N",
         help="number of delay grid points across [0, theta] (default 11)",
     )
-    p.add_argument("--method", choices=_METHODS, default=reencode.METHOD_LEGENDRE)
+    p.add_argument("--method", choices=reencode.METHODS, default=reencode.METHOD_LEGENDRE)
     p.add_argument(
         "--n-samples", type=int, default=reencode.DEFAULT_DISCRETE_SAMPLES,
         help="sample count for the discrete-pinv method",
@@ -274,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("system", help="system document file, or a bare basis file")
     p.add_argument(
-        "--method", choices=_METHODS, default=None,
+        "--method", choices=reencode.METHODS, default=None,
         help="decoder method (default: closed form for ldn/legendre, "
         "hilbert-direct otherwise)",
     )

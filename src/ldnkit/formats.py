@@ -41,17 +41,12 @@ def shortest_float(x: float) -> str:
     return repr(float(x))
 
 
-def full_float(x: float) -> str:
-    """17 significant digits, enough to reproduce any double exactly."""
-    return format(float(x), ".17g")
-
-
 def _number_list(values) -> str | None:
     """A list of numbers as one line, in one pass; None at the first other item."""
     texts = []
     for v in values:
         if isinstance(v, (float, np.floating)):
-            texts.append(format(float(v), ".17g"))  # full_float, without the call
+            texts.append(format(float(v), ".17g"))
         elif isinstance(v, bool):
             texts.append("true" if v else "false")
         elif isinstance(v, (int, np.integer)):
@@ -69,7 +64,7 @@ def _render(value, indent: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return full_float(value)
+        return format(float(value), ".17g")  # 17 digits reproduce any double
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, np.ndarray):
@@ -134,10 +129,7 @@ class SystemDocument:
         raw = self.metadata.get("basis")
         if not isinstance(raw, dict):
             raise FormatError("custom system document lacks basis coefficients in metadata")
-        polys = [np.asarray(p, dtype=float) for p in raw.get("polys", [])]
-        if not polys:
-            raise FormatError("custom system document has an empty basis")
-        return make_basis(polys, float(raw.get("theta", self.theta)))
+        return _read_basis({"theta": self.theta, **raw})
 
 
 def document_from_system(sys: LtiSystem, kind: str, metadata: dict | None = None) -> SystemDocument:
@@ -146,7 +138,7 @@ def document_from_system(sys: LtiSystem, kind: str, metadata: dict | None = None
         raise ValueError(f"unknown kind {kind!r}")
     meta = dict(metadata or {})
     if kind == "custom" and sys.basis is not None:
-        meta["basis"] = {"theta": sys.basis.theta, "polys": [p.tolist() for p in sys.basis.polys]}
+        meta["basis"] = _basis_mapping(sys.basis)
         meta.setdefault("solver_condition", sys.basis.inverse[1])
     return SystemDocument(
         kind=kind, q=sys.q, theta=sys.theta, a=sys.a.copy(), b=sys.b.copy(),
@@ -191,17 +183,17 @@ def read_system_document(path) -> SystemDocument:
         return parse_system_document(handle.read())
 
 
-def write_system_document(path, doc: SystemDocument) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(doc.to_text())
-
-
 def parse_basis_file(text: str) -> PolyBasis:
     """Basis files are JSON: {"theta": number, "polys": [[coeff, ...], ...]}."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not a valid basis file: {exc}") from exc
+    return _read_basis(raw)
+
+
+def _read_basis(raw) -> PolyBasis:
+    """The basis of a basis file's mapping, or of a custom document's metadata["basis"]."""
     if not isinstance(raw, dict) or "theta" not in raw or "polys" not in raw:
         raise FormatError('basis file needs "theta" and "polys" fields')
     try:
@@ -210,11 +202,18 @@ def parse_basis_file(text: str) -> PolyBasis:
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed basis file: {exc}") from exc
     if not polys or any(p.ndim != 1 or p.size == 0 for p in polys):
-        raise FormatError("polys must be a non-empty list of coefficient lists")
+        raise FormatError("empty basis or polynomial: polys needs non-empty coefficient lists")
     try:
         return make_basis(polys, theta)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _basis_mapping(basis: PolyBasis) -> dict:
+    """The mapping _read_basis reads; ValueError for a coefficient that is not finite."""
+    if not all(np.isfinite(p).all() for p in basis.polys):
+        raise ValueError("basis coefficients in t are past the float range")
+    return {"theta": basis.theta, "polys": [p.tolist() for p in basis.polys]}
 
 
 def read_basis_file(path) -> PolyBasis:
@@ -223,7 +222,7 @@ def read_basis_file(path) -> PolyBasis:
 
 
 def basis_to_text(basis: PolyBasis) -> str:
-    return _render({"theta": basis.theta, "polys": list(basis.polys)}, 0) + "\n"
+    return _render(_basis_mapping(basis), 0) + "\n"
 
 
 # ---------------------------------------------------------------------------

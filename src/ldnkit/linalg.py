@@ -124,12 +124,3 @@ def expm(a) -> np.ndarray:
     for _ in range(s):
         f = f @ f
     return f
-
-
-def condition_estimate(a) -> float:
-    """1-norm condition number ||a||_1 ||a^-1||_1, at least 1.
-
-    Computed from LAPACK's inverse, so it is exact up to rounding. Raises
-    SingularMatrixError for a matrix that is singular to working precision.
-    """
-    return _inverse(a)[1]

@@ -101,13 +101,3 @@ def mk_poly_basis_lti(basis: PolyBasis) -> LtiSystem:
     legendre = mk_legendre(basis.q)
     a = m @ legendre.a @ basis.inverse[0]
     return LtiSystem(a=a, b=m @ legendre.b, theta=basis.theta, basis=basis)
-
-
-def to_original_ldn(sys: LtiSystem) -> LtiSystem:
-    """Undo the per-dimension scaling of mk_ldn.
-
-    Returns A' = M^-1 A M and B' = M^-1 B with M = diag(1/(2i+1)), the
-    coordinates in which dimension i of the state runs (2i+1) times larger.
-    """
-    m = 1.0 / (2.0 * np.arange(sys.q) + 1.0)
-    return LtiSystem(a=sys.a * (m[None, :] / m[:, None]), b=sys.b / m, theta=sys.theta)

@@ -32,6 +32,8 @@ METHOD_LEGENDRE = "closed-form-legendre"
 METHOD_HILBERT = "hilbert-direct"
 METHOD_BASIS_INVERSE = "basis-inverse"
 METHOD_DISCRETE = "discrete-pinv"
+# Every decoder method; decoder_bank builds all but the first, the closed form.
+METHODS = (METHOD_LEGENDRE, METHOD_HILBERT, METHOD_BASIS_INVERSE, METHOD_DISCRETE)
 
 # Default sample count N of the discrete-pinv method.
 DEFAULT_DISCRETE_SAMPLES = 100_000
@@ -78,23 +80,24 @@ def encoder(sys: LtiSystem, t: float | None = None) -> np.ndarray:
     return sys.basis.values(t)[:, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _legendre_duals(q: int, theta: float, theta_primes) -> np.ndarray:
     """K x q closed-form Legendre decoders, one contiguous row per delay.
 
     Adding 0.0 turns the -0.0 entries at the roots into +0.0, as a product
     with M^-T = I gives them, so the Legendre basis's exact decoders equal
-    the closed form bit for bit.
+    the closed form bit for bit. ValueError where an entry is not finite.
     """
     vals = legendre_values(q, np.asarray(theta_primes, dtype=float) / theta)
     scale = (2.0 * np.arange(q) + 1.0) / theta
-    return np.ascontiguousarray((scale[:, None] * vals).T) + 0.0
+    return linalg.as_matrix(np.ascontiguousarray((scale[:, None] * vals).T) + 0.0, "decoder")
 
 
 def legendre_decoder(q: int, theta: float, theta_prime: float) -> DelayDecoder:
     """Closed-form decoder for the shifted Legendre basis.
 
     Entry m is (2m + 1) / theta times the m-th shifted Legendre polynomial
-    at theta_prime / theta, evaluated by the value recurrence.
+    at theta_prime / theta by the value recurrence; ValueError if not finite.
     """
     _check_delay(theta, theta_prime)
     return DelayDecoder(
@@ -103,6 +106,7 @@ def legendre_decoder(q: int, theta: float, theta_prime: float) -> DelayDecoder:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # entries past the float range are refused
 def decoder_bank(basis: PolyBasis, theta_primes, method: str,
                  n_samples: int = DEFAULT_DISCRETE_SAMPLES) -> list[DelayDecoder]:
     """Delay decoders of one basis-space method for every theta' at once.
@@ -110,10 +114,11 @@ def decoder_bank(basis: PolyBasis, theta_primes, method: str,
     Each method gives Legendre decoders d_L(theta'), and the basis's are
     d(theta') = M^-T d_L(theta') for its Legendre mixture M: the basis's
     one inverse of M, then one product per delay. SingularMatrixError is
-    raised for an M past linalg's limit, whatever the method. The exact
-    methods' banks equal their single-delay views bit for bit; a
-    discrete-pinv bank solves the Gram for all delays at once, which rounds
-    differently from one solve per delay.
+    raised for an M past linalg's limit, and ValueError for a decoder entry
+    that is not finite, whatever the method. The exact methods' banks equal
+    their single-delay views bit for bit; a discrete-pinv bank solves the
+    Gram for all delays at once, which rounds differently from one solve
+    per delay.
 
     - hilbert-direct and basis-inverse are one exact method under two names:
       d_L is the closed form, and cond(M) is attached to each decoder.
@@ -127,7 +132,7 @@ def decoder_bank(basis: PolyBasis, theta_primes, method: str,
       falls as 1/N, up to N = 2^53, past which the sample index is inexact
       and ValueError is raised.
     """
-    if method not in (METHOD_HILBERT, METHOD_BASIS_INVERSE, METHOD_DISCRETE):
+    if method not in METHODS[1:]:
         raise ValueError(f"unknown basis-space decoder method {method!r}")
     q, theta = basis.q, basis.theta
     if method == METHOD_DISCRETE and n_samples < 2 * q:
@@ -154,11 +159,11 @@ def decoder_bank(basis: PolyBasis, theta_primes, method: str,
         step = theta / (n_samples - 1)
         cols = legendre_values(q, np.floor((n_samples - 1) * theta_primes / theta) * step / theta)
         legendre = ((n_samples / theta) * np.linalg.solve(gram, cols)).T
-    return [
-        DelayDecoder(d=inverse.T @ row, theta_prime=float(tp), theta=theta,
-                     method=method, condition=cond)
-        for tp, row in zip(theta_primes, legendre)
-    ]
+    ds = [inverse.T @ row for row in legendre]
+    if not np.isfinite(ds).all():
+        raise ValueError("decoder bank has non-finite entries")
+    return [DelayDecoder(d=d, theta_prime=float(tp), theta=theta, method=method, condition=cond)
+            for tp, d in zip(theta_primes, ds)]
 
 
 def decoder_hilbert_direct(basis: PolyBasis, theta_prime: float) -> DelayDecoder:

@@ -59,7 +59,6 @@ class DiscreteSystem:
     ad: np.ndarray
     bd: np.ndarray
     dt: float
-    theta: float
 
 
 def discretize(sys: LtiSystem, dt: float) -> DiscreteSystem:
@@ -77,7 +76,7 @@ def discretize(sys: LtiSystem, dt: float) -> DiscreteSystem:
     aug[:q, :q] = sys.a / sys.theta
     aug[:q, q] = sys.b / sys.theta
     full = _step_exponential(dt, aug, dt)
-    return DiscreteSystem(ad=full[:q, :q], bd=full[:q, q], dt=float(dt), theta=sys.theta)
+    return DiscreteSystem(ad=full[:q, :q], bd=full[:q, q], dt=float(dt))
 
 
 def _step_exponential(scale: float, rate: np.ndarray, dt: float) -> np.ndarray:
@@ -160,19 +159,22 @@ def impulse_response(source: LtiSystem | PolyBasis, dt: float, t_max: float) -> 
     return StateTrajectory(states=states, dt=float(dt))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # states past the float range are refused
 def sliding_transform(dsys: DiscreteSystem, u: Signal) -> StateTrajectory:
     """Run the state recurrence over a signal, starting from zero state.
 
     The state after k inputs approximates the convolution of the system's
     impulse response with the signal up to time k dt; at a window past an
     input feature, the state holds that window's basis coefficients.
+    ValueError where a state is past the float range.
     """
     if abs(u.dt - dsys.dt) > 1e-12 * dsys.dt:
         raise ValueError(f"signal dt {u.dt} does not match system dt {dsys.dt}")
     states = _recur(dsys.ad, np.zeros(dsys.bd.size), u.samples.size, dsys.bd, u.samples)
-    return StateTrajectory(states=states, dt=dsys.dt)
+    return StateTrajectory(states=linalg.as_matrix(states, "state trajectory"), dt=dsys.dt)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # states past the float range are refused
 def perfect_window_transform(basis: PolyBasis, u: Signal) -> StateTrajectory:
     """Sliding transform over exactly the last theta of input: an FIR filter.
 
@@ -186,7 +188,7 @@ def perfect_window_transform(basis: PolyBasis, u: Signal) -> StateTrajectory:
     error, a few eps times the largest input, not with the signal length.
 
     The sample period must divide theta (the window holds a whole number of
-    steps); otherwise IncompatibleStepError is raised.
+    steps; IncompatibleStepError), and a state must be finite (ValueError).
     """
     steps = int(round(basis.theta / u.dt))
     if steps < 1 or abs(steps * u.dt - basis.theta) > 1e-9 * basis.theta:
@@ -203,7 +205,7 @@ def perfect_window_transform(basis: PolyBasis, u: Signal) -> StateTrajectory:
     states = np.zeros((n + 1, basis.q))
     for j, h in enumerate(taps):
         states[1:, j] = np.fft.irfft(spectrum * np.fft.rfft(h, size), size)[:n]
-    return StateTrajectory(states=states, dt=u.dt)
+    return StateTrajectory(states=linalg.as_matrix(states, "state trajectory"), dt=u.dt)
 
 
 def decode_window(m: np.ndarray, decoders) -> np.ndarray:

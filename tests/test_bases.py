@@ -58,6 +58,31 @@ class TestShiftedLegendre:
         assert np.allclose(b.values(grid), legendre_value_recurrence(8, grid), atol=1e-12)
 
 
+class TestWindowLength:
+    @pytest.mark.parametrize("make", [bases.shifted_legendre, bases.shifted_chebyshev])
+    def test_integer_theta_is_the_float_theta(self, make):
+        # an int theta raised to int64 powers used to wrap and divide by zero
+        got, want = make(70, 2), make(70, 2.0)
+        assert type(got.theta) is float and got.theta == want.theta
+        assert all(np.isfinite(p).all() for p in got.polys)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got.polys, want.polys))
+
+    def test_random_basis_integer_theta(self):
+        got, want = bases.random_basis(45, 3, seed=1), bases.random_basis(45, 3.0, seed=1)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got.polys, want.polys))
+
+    @pytest.mark.parametrize("theta", [1e300, 1e-300, 1e-320])
+    @pytest.mark.parametrize("make", [bases.shifted_legendre, bases.shifted_chebyshev])
+    def test_extreme_theta_builds_silently(self, make, theta):
+        # every warning is an error here; the monomial form may leave the
+        # float range, while the mixture and the values do not depend on theta
+        basis, unit = make(6, theta), make(6, 1.0)
+        assert basis.theta == theta
+        assert np.array_equal(basis.mixture, unit.mixture)
+        assert np.array_equal(basis.values(theta), unit.values(1.0))
+        assert all(p.size == n + 1 for n, p in enumerate(basis.polys))
+
+
 class TestShiftedChebyshev:
     def test_q2_coefficients(self):
         b = bases.shifted_chebyshev(2, 1.0)

@@ -171,6 +171,25 @@ class TestGen:
         assert result.returncode == 0
         assert json.loads(result.stdout)["q"] == 2
 
+    @pytest.mark.parametrize("kind", ["legendre", "chebyshev"])
+    @pytest.mark.parametrize("theta", ["1e300", "1e-300", "1e-320"])
+    def test_named_kind_at_extreme_theta(self, tmp_path, kind, theta):
+        # the basis's monomial form leaves the float range, silently: a
+        # named kind's document does not hold it
+        args = ["gen", "--kind", kind, "--q", "6", "--theta", theta, "-o"]
+        strict = run_cli(*args, str(tmp_path / "strict.json"))
+        assert strict.returncode == 0, strict.stderr
+        assert strict.stderr == ""
+        loose = subprocess.run([sys.executable, "-m", "ldnkit.cli", *args,
+                                str(tmp_path / "loose.json")], capture_output=True, text=True)
+        assert loose.returncode == 0, loose.stderr
+        text = (tmp_path / "strict.json").read_bytes()
+        assert text == (tmp_path / "loose.json").read_bytes()
+        unit = run_cli("gen", "--kind", kind, "--q", "6")
+        doc, unit_doc = json.loads(text), json.loads(unit.stdout)
+        assert doc["theta"] == float(theta)
+        assert doc["a"] == unit_doc["a"] and doc["b"] == unit_doc["b"]
+
 
 class TestBasisFiles:
     @pytest.mark.parametrize("cmd", ["gen", "reencode"])
@@ -244,6 +263,30 @@ class TestBasisFiles:
         result = run_cli(cmd[0], str(sys_file), *args, "-o", str(out))
         assert result.returncode == 2, result.stderr
         assert "exceeds degree bound 1" in result.stderr
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("basis, message", [
+        ({"theta": [1.0], "polys": [[1.0], [-1.0, 2.0]]}, "malformed basis file"),
+        ({"theta": 1.0, "polys": "junk"}, "malformed basis file"),
+        ({"theta": 1.0, "polys": [[1.0], []]}, "empty basis or polynomial"),
+    ])
+    def test_malformed_document_basis_exits_2(self, tmp_path, basis, message):
+        # a custom document's basis reads as a basis file does
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text('{"theta": 1.0, "polys": [[1.0], [-1.0, 2.0]]}',
+                              encoding="utf-8")
+        gen = run_cli("gen", "--kind", "custom", "--basis", str(basis_file))
+        assert gen.returncode == 0, gen.stderr
+        doc = json.loads(gen.stdout)
+        doc["metadata"]["basis"] = basis
+        sys_file = tmp_path / "sys.json"
+        sys_file.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        result = run_cli("impulse", str(sys_file), "--t-max", "1", "-o", str(out))
+        assert result.returncode == 2, result.stderr
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
         assert not out.exists()
 
 
@@ -506,6 +549,29 @@ class TestSlide:
         assert result.returncode == 4
 
 
+    def test_window_flag_exits_2(self, workdir, tmp_path):
+        # the plain transform is the default, and takes no flag
+        out = tmp_path / "x.csv"
+        result = run_cli("slide", str(workdir / "leg.json"), "--signal",
+                         str(workdir / "impulse.csv"), "--window", "-o", str(out))
+        assert result.returncode == 2
+        assert "unrecognized arguments: --window" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--perfect-window"]], ids=["plain", "perfect-window"])
+    def test_states_past_the_float_range_exit_2(self, workdir, tmp_path, mode):
+        sig = tmp_path / "big.csv"
+        sig.write_text("t,u\n" + "".join(f"{k * 1e-3!r},{1e308 if k < 3 else 0.0!r}\n"
+                                         for k in range(3000)), encoding="utf-8")
+        out = tmp_path / "x.csv"
+        result = run_cli("slide", str(workdir / "leg.json"), "--signal", str(sig), *mode,
+                         "-o", str(out))
+        assert result.returncode == 2, result.stderr
+        assert "state trajectory has non-finite entries" in result.stderr
+        assert "Warning" not in result.stderr
+        assert not out.exists()
+
+
 class TestDecode:
     def test_zero_trajectory_decodes_to_zero(self, workdir, tmp_path):
         traj = tmp_path / "traj.csv"
@@ -618,6 +684,32 @@ class TestDecode:
         result = run_cli("decode", str(workdir / "ldn.json"), "--trajectory",
                          str(traj), "-o", str(tmp_path / "x.csv"))
         assert result.returncode == 2
+
+
+    @pytest.mark.parametrize("cmd", [
+        ("decode", "ldn", "closed-form-legendre"),
+        ("decode", "ldn", "hilbert-direct"),
+        ("decode", "ldn", "basis-inverse"),
+        ("decode", "ldn", "discrete-pinv"),
+        ("reencode", "legendre", "closed-form-legendre"),
+        ("reencode", "chebyshev", "hilbert-direct"),
+    ])
+    def test_decoders_past_the_float_range_exit_2(self, tmp_path, cmd):
+        # (2m + 1) / theta overflows at theta = 1e-320
+        command, kind, method = cmd
+        doc = tmp_path / "sys.json"
+        gen = run_cli("gen", "--kind", kind, "--q", "6", "--theta", "1e-320", "-o", str(doc))
+        assert gen.returncode == 0, gen.stderr
+        traj = tmp_path / "traj.csv"
+        traj.write_text("t,m_0,m_1,m_2,m_3,m_4,m_5\n0.0,1,0,0,0,0,0\n1.0,1,0,0,0,0,0\n",
+                        encoding="utf-8")
+        extra = ["--trajectory", str(traj)] if command == "decode" else []
+        out = tmp_path / "out"
+        result = run_cli(command, str(doc), *extra, "--method", method, "-o", str(out))
+        assert result.returncode == 2, result.stderr
+        assert "decoder" in result.stderr and "non-finite entries" in result.stderr
+        assert "Warning" not in result.stderr
+        assert not out.exists()
 
 
 class TestReencode:

@@ -1,4 +1,5 @@
 import contextlib
+import json
 import multiprocessing
 import warnings
 
@@ -27,13 +28,13 @@ class TestSystemDocument:
         assert parsed.metadata["note"] == "round trip"
 
     def test_seventeen_significant_digits(self):
-        assert formats.full_float(1.0 / 3.0) == "0.33333333333333331"
-        assert float(formats.full_float(np.pi)) == np.pi
+        assert formats.render_block({"x": 1.0 / 3.0}) == '{\n  "x": 0.33333333333333331\n}\n'
+        assert json.loads(formats.render_block({"x": np.pi}))["x"] == np.pi
 
     def test_file_round_trip(self, tmp_path):
         doc = formats.document_from_system(lti.mk_ldn(3, 2.0), "ldn")
         path = tmp_path / "sys.json"
-        formats.write_system_document(path, doc)
+        path.write_text(doc.to_text(), encoding="utf-8")
         again = formats.read_system_document(path)
         assert np.array_equal(again.a, doc.a)
         assert again.kind == "ldn"
@@ -150,6 +151,26 @@ class TestDocumentBasis:
 
 
 class TestBasisFile:
+    @pytest.mark.parametrize("theta", [1e-300, 1e-320])
+    def test_writers_refuse_coefficients_past_the_float_range(self, theta):
+        basis = bases.shifted_legendre(6, theta)
+        assert not all(np.isfinite(p).all() for p in basis.polys)
+        with pytest.raises(ValueError, match="past the float range"):
+            formats.basis_to_text(basis)
+        with pytest.raises(ValueError, match="past the float range"):
+            formats.document_from_system(lti.mk_poly_basis_lti(basis), "custom")
+
+    def test_custom_document_reads_basis_like_a_basis_file(self):
+        system = lti.LtiSystem(a=-np.eye(2), b=np.ones(2), theta=1.0)
+        for raw, message in (({"theta": [1.0], "polys": [[1.0]]}, "malformed basis file"),
+                             ({"theta": 1.0, "polys": [[]]}, "empty basis or polynomial"),
+                             ({"theta": 1.0, "polys": [[0.0, 1.0]]}, "exceeds degree bound 0")):
+            doc = formats.document_from_system(system, "custom", {"basis": raw})
+            with pytest.raises(FormatError, match=message):
+                doc.basis
+            with pytest.raises(FormatError, match=message):
+                formats.parse_basis_file(json.dumps(raw))
+
     def test_round_trip(self):
         basis = bases.random_basis(4, 1.5, seed=2)
         parsed = formats.parse_basis_file(formats.basis_to_text(basis))

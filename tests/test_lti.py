@@ -152,27 +152,6 @@ class TestGenericSolver:
             assert np.array_equal(make_sys(8, 1.0).b, basis.values(0.0)[:, 0])
 
 
-class TestCoordinateTransform:
-    def test_q1_unchanged(self):
-        sys = lti.mk_ldn(1, 1.0)
-        orig = lti.to_original_ldn(sys)
-        assert np.array_equal(orig.a, sys.a)
-        assert np.array_equal(orig.b, sys.b)
-
-    def test_q2_b_entry(self):
-        orig = lti.to_original_ldn(lti.mk_ldn(2, 1.0))
-        assert orig.b[1] == -3.0
-
-    def test_impulse_responses_related_by_scaling(self):
-        sys = lti.mk_ldn(5, 1.0)
-        orig = lti.to_original_ldn(sys)
-        m = 1.0 / (2.0 * np.arange(5) + 1.0)
-        for t in (0.1, 0.5, 1.3):
-            scaled = linalg.expm(t * sys.a) @ sys.b
-            unscaled = linalg.expm(t * orig.a) @ orig.b
-            assert np.max(np.abs(scaled - m * unscaled)) < 1e-10
-
-
 class TestDampeningIdentity:
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
     def test_ldn_is_dampened_legendre(self, theta):

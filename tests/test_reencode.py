@@ -291,6 +291,28 @@ class TestDecoderBank:
             reencode.decoder_bank(bases.shifted_legendre(4, 1.0), [0.5],
                                   reencode.METHOD_LEGENDRE)
 
+    def test_methods_table(self):
+        # one table serves decoder_bank and both --method choices
+        assert reencode.METHODS == ("closed-form-legendre", "hilbert-direct",
+                                    "basis-inverse", "discrete-pinv")
+
+    @pytest.mark.parametrize("method", BANK_METHODS)
+    def test_window_past_the_float_range(self, method):
+        # (2m + 1) / theta overflows at theta = 1e-320; no warning escapes
+        with pytest.raises(ValueError, match="non-finite"):
+            reencode.decoder_bank(bases.shifted_legendre(6, 1e-320), [0.0, 1e-320], method)
+        with pytest.raises(ValueError, match="non-finite"):
+            reencode.legendre_decoder(6, 1e-320, 1e-320)
+
+    @pytest.mark.parametrize("method", BANK_METHODS)
+    def test_product_past_the_float_range(self, method):
+        # finite Legendre decoders, but M^-1 = 1e300 I takes them past the range
+        legendre = bases.shifted_legendre(6, 1e-10)
+        basis = bases.make_basis([1e-300 * p for p in legendre.polys], 1e-10)
+        assert np.isfinite(reencode.legendre_decoder(6, 1e-10, 1e-10).d).all()
+        with pytest.raises(ValueError, match="non-finite"):
+            reencode.decoder_bank(basis, [0.0, 1e-10], method)
+
     @pytest.mark.parametrize("method", EXACT_METHODS)
     def test_monomials_q11_match_fraction_oracle(self, method):
         # the monomial Gram matrix has condition 1e15 here, the Legendre
@@ -394,7 +416,7 @@ class TestOneLimit:
         if ok:
             # the 1-norm condition is within a factor Q of the 2-norm one
             assert kappa / self.Q <= report.condition <= kappa * self.Q
-            assert report.condition == linalg.condition_estimate(mixture)
+            assert report.condition == linalg._inverse(mixture)[1]
             assert lti.mk_poly_basis_lti(basis).basis is basis
             for method in BANK_METHODS:
                 bank = reencode.decoder_bank(basis, [0.0, 1.0], method, n_samples=100)

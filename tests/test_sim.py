@@ -194,6 +194,32 @@ def _first_non_finite_row(states):
     return int(np.argmin(finite)) if not finite.all() else None
 
 
+class TestStatesPastTheFloatRange:
+    # u = 1e308 for 3 of 3000 samples; every warning is an error here
+    @staticmethod
+    def _signal(value):
+        u = np.zeros(3000)
+        u[:3] = value
+        return sim.Signal(samples=u, dt=1e-3)
+
+    @pytest.mark.parametrize("perfect", [False, True], ids=["plain", "perfect-window"])
+    def test_refused(self, perfect):
+        with pytest.raises(ValueError, match="non-finite"):
+            self._transform(perfect, self._signal(1e308))
+
+    @pytest.mark.parametrize("perfect", [False, True], ids=["plain", "perfect-window"])
+    def test_large_finite_states_kept(self, perfect):
+        big = self._transform(perfect, self._signal(2.0 ** 990)).states
+        unit = self._transform(perfect, self._signal(1.0)).states
+        assert np.allclose(big * 2.0 ** -990, unit, rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def _transform(perfect, signal):
+        if perfect:
+            return sim.perfect_window_transform(bases.shifted_legendre(6, 1.0), signal)
+        return sim.sliding_transform(sim.discretize(lti.mk_legendre(6, 1.0), 1e-3), signal)
+
+
 class TestRecurrence:
     """The blocked state recurrence against the one-sample-at-a-time loop."""
 

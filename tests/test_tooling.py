@@ -1,5 +1,7 @@
 """Checks on the documentation and the import footprint of the package."""
 
+import ast
+import importlib
 import math
 import os
 import pathlib
@@ -68,3 +70,36 @@ def test_impulse_reads_basis_without_numpy_polynomial(tmp_path):
     result = run_python("-c", probe, str(tmp_path))
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_names_the_benchmark_reads_exist():
+    # a prune must not break perfbench/: every public name resolves, every
+    # <module>.<name> the worker reads from the ldnkit modules it imports
+    # exists, and every layer the tracer wraps imports
+    import ldnkit
+
+    for name in ldnkit.__all__:
+        assert hasattr(ldnkit, name), name
+    tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8"))
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, a.name) for a in node.names
+                           if a.name.split(".")[0] == "ldnkit")
+        elif isinstance(node, ast.ImportFrom) and node.module == "ldnkit":
+            modules.update((a.asname or a.name, f"ldnkit.{a.name}") for a in node.names)
+    assert {"bases", "cli", "formats", "lti", "reencode", "sim"} <= set(modules)
+    reads = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules}
+    assert ("reencode", "decoder_hilbert_direct") in reads
+    for alias, attr in sorted(reads):
+        assert hasattr(importlib.import_module(modules[alias]), attr), f"{alias}.{attr}"
+    assert callable(ldnkit.PolyBasis.coefficient_matrix)
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tracer.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"])
+    assert "linalg" in layers
+    for layer in layers:
+        importlib.import_module(f"ldnkit.{layer}")
